@@ -20,6 +20,8 @@
 #   fuzz      differential-oracle fuzzer, short fixed-seed burst
 #   bench     fast-forward vs stepped smoke
 #   service   serve + load mix + SIGTERM drain
+#   ready     SIGTERM each daemon the moment its port file appears; it
+#             must still drain and print its final stats line
 #   store     durable-store round trip: serve over a store dir, fill,
 #             SIGTERM, restart, require the rewarm first pass to hit
 #             the recovered segments
@@ -188,6 +190,27 @@ done
   --require-hit-rate=0.5 > /dev/null
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"   # graceful drain must exit 0
+
+echo "== readiness smoke: SIGTERM as soon as the port file appears =="
+# A supervisor may signal the moment --port-file is written; each
+# daemon must then drain (exit 0, final stats JSON line), not die.
+for daemon in "bfdn_serve --queue=8 --cache=16" \
+              "bfdn_route --peers=7469"; do
+  rm -f build/ready.port
+  # shellcheck disable=SC2086  # $daemon carries the binary and its flags
+  ./build/tools/$daemon --port=0 --port-file=build/ready.port \
+    > build/ready.out 2> build/ready.err &
+  READY_PID=$!
+  tries=0
+  while [ ! -s build/ready.port ]; do
+    tries=$((tries + 1))
+    [ "$tries" -le 100000 ] || { echo "$daemon never bound"; exit 1; }
+  done
+  kill -TERM "$READY_PID"
+  wait "$READY_PID" || { echo "$daemon died on an early SIGTERM"; exit 1; }
+  tail -n 1 build/ready.out | grep -q '^{' \
+    || { echo "$daemon printed no final stats line"; exit 1; }
+done
 
 echo "== store smoke: fill, SIGTERM, restart, rewarm must hit =="
 rm -rf build/store-smoke

@@ -27,8 +27,8 @@
 namespace bfdn {
 
 /// All robots are activated at every time step 1, 2, 3, ...: the
-/// synchronous model expressed as a scheduler. lockstep() is true, and
-/// the async engine run is bit-identical to the stepped loop.
+/// synchronous model expressed as a scheduler. lockstep() is true, so
+/// the engine runs it on the synchronous path, bit-identically.
 class RoundRobinScheduler : public AsyncScheduler {
  public:
   std::string name() const override { return "round-robin"; }

@@ -448,17 +448,19 @@ std::string canonical_request(const ServiceRequest& request) {
   // The request id is transport-level and deliberately excluded; two
   // clients asking for the same run share one cache entry. AlgoSpec /
   // ScheduleSpec render through the same label()s the verification
-  // harness writes into trace files.
+  // harness writes into trace files. fast_forward is left out: it
+  // cannot change a result (OracleCheck::kFastForward) and the result
+  // does not echo it, so keying on it would only split the cache.
   return str_format(
       "recipe=%s algo=%s policy=%s algo_seed=%llu depth_cap=%d "
-      "sched=%s async=%s max_rounds=%lld ff=%d check=%d",
+      "sched=%s async=%s max_rounds=%lld check=%d",
       request.recipe.label().c_str(), request.algo.label().c_str(),
       policy_name(request.algo.options.policy),
       static_cast<unsigned long long>(request.algo.options.seed),
       request.algo.options.depth_cap, request.schedule.label().c_str(),
       request.async.label().c_str(),
       static_cast<long long>(request.max_rounds),
-      request.fast_forward ? 1 : 0, request.check_invariants ? 1 : 0);
+      request.check_invariants ? 1 : 0);
 }
 
 std::uint64_t request_fingerprint(const ServiceRequest& request) {

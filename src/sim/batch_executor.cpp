@@ -62,13 +62,12 @@ std::vector<RunResult> BatchExecutor::run() {
     }
   }
 
-  // Partition the executing members: the interleaved fast-forward pass
-  // takes exactly the runs run_exploration would fast-forward; the
-  // rest (per-round hooks, fast_forward off, step-only algorithms)
-  // fall back to the solo engine, whose results are the definition of
-  // correct. Fallbacks run first, in member order, so their per-round
-  // hooks observe rounds in a deterministic order.
-  std::vector<std::unique_ptr<engine_internal::FastForwardRun>> ff(n);
+  // Partition the executing members: the interleaved pass takes
+  // exactly the runs that plan committed walks; the rest (per-round
+  // hooks, fast_forward off, step-only algorithms) run solo first, in
+  // member order, so their per-round hooks observe rounds in a
+  // deterministic order.
+  std::vector<std::unique_ptr<engine_internal::RunContext>> runs(n);
   for (std::size_t i = 0; i < n; ++i) {
     Member& member = members_[i];
     if (member.coalesce_with >= 0) {
@@ -76,23 +75,14 @@ std::vector<RunResult> BatchExecutor::run() {
       continue;
     }
     ++stats_.distinct_runs;
-    const RunConfig& config = member.config;
-    const bool fast_forward =
-        config.fast_forward && config.trace == nullptr &&
-        config.observer == nullptr && !config.check_invariants &&
-        member.algorithm->transit_capability() ==
-            TransitCapability::kCommittedSegments;
-    if (!fast_forward) {
+    if (!engine_internal::plans_walks(*member.algorithm, member.config)) {
       ++stats_.stepped_fallback;
-      results[i] = run_exploration(tree_, *member.algorithm, config);
+      results[i] = run_exploration(tree_, *member.algorithm, member.config);
       continue;
     }
     ++stats_.interleaved;
-    const std::int64_t max_rounds = config.max_rounds > 0
-                                        ? config.max_rounds
-                                        : default_round_limit(tree_);
-    ff[i] = std::make_unique<engine_internal::FastForwardRun>(
-        tree_, *member.algorithm, config.num_robots, max_rounds);
+    runs[i] = std::make_unique<engine_internal::RunContext>(
+        tree_, *member.algorithm, member.config);
   }
 
   // The interleaved pass: always advance the run whose next selection
@@ -104,27 +94,19 @@ std::vector<RunResult> BatchExecutor::run() {
     std::size_t next = n;
     std::int64_t best_round = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      if (ff[i] == nullptr || ff[i]->done()) continue;
-      const std::int64_t round = ff[i]->next_event_round();
+      if (runs[i] == nullptr) continue;
+      const std::int64_t round = runs[i]->next_event_round();
       if (next == n || round < best_round) {
         next = i;
         best_round = round;
       }
     }
     if (next == n) break;
-    if (!ff[next]->advance()) {
-      results[next] = ff[next]->finish();
-      ff[next].reset();
+    if (!runs[next]->advance()) {
+      results[next] = runs[next]->finish();
+      runs[next].reset();
     }
   }
-  // done() contexts that never got a final advance() call.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (ff[i] != nullptr) {
-      results[i] = ff[i]->finish();
-      ff[i].reset();
-    }
-  }
-
   for (std::size_t i = 0; i < n; ++i) {
     if (members_[i].coalesce_with >= 0) {
       results[i] =

@@ -3,7 +3,7 @@
 // interleaved pass instead of R independent engine invocations.
 //
 // Structure of arrays: every member run owns its per-run state
-// (ExplorationState position/clock/frontier arrays, wake calendar,
+// (ExplorationState position/frontier arrays, activation calendar,
 // RunResult) while the tree's CSR arrays — the large read-only data —
 // are shared by all of them. run() advances the member whose next
 // selection event is earliest (ties broken by member index), so all
@@ -13,16 +13,17 @@
 // rather than R cold passes.
 //
 // Bit-identity is structural, not approximated: each member executes
-// through engine_internal::FastForwardRun, the exact event loop
-// run_exploration uses, and a member's observable behavior depends
+// through engine_internal::RunContext, the one run context
+// run_exploration drives, and a member's observable behavior depends
 // only on its own state — so any interleaving reproduces the solo
 // engine run for run (pinned by OracleCheck::kBatchEquivalence and
 // tests/batch_executor_test.cpp).
 //
-// Fallbacks mirror run_exploration's: a member whose config forces the
-// stepped loop (observer / trace / check_invariants / fast_forward off)
-// or whose algorithm is step-only runs through run_exploration inside
-// run(), in member order, before the interleaved pass. Members with a
+// Only members that plan committed walks (engine_internal::plans_walks)
+// interleave; a member with per-round hooks (observer / trace /
+// check_invariants), fast_forward off or a step-only algorithm runs
+// through run_exploration inside run(), in member order, before the
+// interleaved pass. Members with a
 // break-down schedule, reactive adversary or async scheduler are
 // rejected at add_member — those execution models are per-run by
 // construction and belong to run_exploration.

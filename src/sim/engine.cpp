@@ -9,12 +9,6 @@
 
 namespace bfdn {
 
-using engine_internal::apply_pending_move;
-using engine_internal::apply_walk_step;
-using engine_internal::check_open_node_coverage;
-using engine_internal::flush_reanchor_counts;
-using engine_internal::init_depth_accounting;
-
 MoveSelector::MoveSelector(ExplorationState& state,
                            const std::vector<char>& movable)
     : state_(state), movable_(movable) {
@@ -138,11 +132,35 @@ void Algorithm::select_moves_subset(const ExplorationView&, MoveSelector&,
              "select_moves_subset called on a step-only algorithm");
 }
 
-// The shared per-move/per-round helpers below are declared in
-// sim/engine_internal.h so batch_executor.cpp replays the exact same
-// semantics; their definitions stay here next to the loops they mirror.
-namespace engine_internal {
+// Engine-private access to MoveSelector internals (friend of
+// MoveSelector; see engine.h).
+struct EngineAccess {
+  static std::vector<MoveSelector::Pending>& pending(MoveSelector& sel) {
+    return sel.pending_;
+  }
+  static const std::vector<std::uint64_t>& reanchors(
+      const MoveSelector& sel) {
+    return sel.reanchor_counts_;
+  }
+  static const std::vector<std::uint64_t>& reanchor_switches(
+      const MoveSelector& sel) {
+    return sel.reanchor_switch_counts_;
+  }
+  static const std::vector<std::pair<NodeId, NodeId>>& reservations(
+      const MoveSelector& sel) {
+    return sel.reserved_this_round_;
+  }
+};
 
+namespace {
+
+bool is_move(MoveSelector::Kind kind) {
+  return kind == MoveSelector::Kind::kUp ||
+         kind == MoveSelector::Kind::kDownExplored ||
+         kind == MoveSelector::Kind::kDownDangling;
+}
+
+/// Claim 4: all open nodes lie in the union of anchor subtrees.
 void check_open_node_coverage(const Tree& tree,
                               const ExplorationState& state,
                               const std::vector<NodeId>& anchors) {
@@ -179,6 +197,8 @@ void init_depth_accounting(const Tree& tree, RunResult& result,
   }
 }
 
+/// Flushes the selector's per-depth reanchor counters into the result
+/// histograms.
 void flush_reanchor_counts(const MoveSelector& selector, RunResult& result) {
   const std::vector<std::uint64_t>& reanchors =
       EngineAccess::reanchors(selector);
@@ -199,6 +219,12 @@ void flush_reanchor_counts(const MoveSelector& selector, RunResult& result) {
   }
 }
 
+/// The MOVE step for one robot's selected move: position update,
+/// first-traversal flags, dangling commit with depth-completion
+/// accounting, per-robot move counter. Returns true iff the robot
+/// actually moved. `commit_round` is the round recorded in
+/// depth_completed_round when this move commits the last unexplored
+/// node of a depth.
 bool apply_pending_move(const Tree& tree, ExplorationState& state,
                         std::int32_t robot, const MoveSelector::Pending& p,
                         std::vector<std::int64_t>& unexplored_at_depth,
@@ -237,6 +263,8 @@ bool apply_pending_move(const Tree& tree, ExplorationState& state,
   return false;  // unreachable
 }
 
+/// One step of a committed walk (TransitPlan::kWalk): validates the
+/// step, records the traversal and advances the robot.
 void apply_walk_step(const Tree& tree, ExplorationState& state,
                      std::int32_t robot, NodeId next, RunResult& result) {
   const NodeId cur = state.robot_pos(robot);
@@ -252,192 +280,296 @@ void apply_walk_step(const Tree& tree, ExplorationState& state,
   ++result.robot_moves[static_cast<std::size_t>(robot)];
 }
 
-// Event-driven fast-forward execution (engine_internal::FastForwardRun).
-// Robots alternate between "event rounds", where they run the
-// algorithm's real selection logic, and committed walks
-// (TransitPlan::kWalk), which the engine executes in one batch the
-// moment they are planned: the robot's position, the first-traversal
-// flags and its move counter advance over the whole segment, and the
-// robot is parked until its wake round. Because a committed-segment
-// algorithm decides each robot's move from shared exploration state
-// plus that robot's own private state only, and transit moves touch no
-// shared state another robot's decision reads (traversal flags are
-// write-only bookkeeping; dangling counts only ever decrease),
-// executing the walk eagerly is indistinguishable from interleaving it
-// with the other robots' rounds — the stepped engine would produce
-// exactly the same moves. The round counter advances analytically over
-// the gaps between events; every accounting rule below mirrors one
-// line of the stepped loop (see docs/MODEL.md). The loop is cut at its
-// event boundaries into an advance() method so the batch executor can
-// interleave several runs; run_exploration drives one context straight
-// through, which is the exact former single-run loop.
-FastForwardRun::FastForwardRun(const Tree& tree, Algorithm& algorithm,
-                               std::int32_t k, std::int64_t max_rounds)
+}  // namespace
+
+namespace engine_internal {
+
+bool plans_walks(const Algorithm& algorithm, const RunConfig& config) {
+  return config.fast_forward && config.schedule == nullptr &&
+         config.reactive == nullptr && config.trace == nullptr &&
+         config.observer == nullptr && !config.check_invariants &&
+         algorithm.transit_capability() ==
+             TransitCapability::kCommittedSegments;
+}
+
+RunContext::RunContext(const Tree& tree, Algorithm& algorithm,
+                       const RunConfig& config)
     : tree_(tree),
       algorithm_(algorithm),
-      k_(k),
-      max_rounds_(max_rounds),
-      state_(tree, k),
-      movable_(static_cast<std::size_t>(k), 1),
+      config_(config),
+      k_(config.num_robots),
+      max_rounds_(config.max_rounds > 0 ? config.max_rounds
+                                        : default_round_limit(tree)),
+      // Lockstep-only algorithms are driven synchronously under any
+      // scheduler.
+      scheduler_(config.async != nullptr && !config.async->lockstep() &&
+                         algorithm.activation_granularity() ==
+                             ActivationGranularity::kAsyncSafe
+                     ? config.async
+                     : nullptr),
+      plans_walks_(plans_walks(algorithm, config)),
+      adversary_(config.schedule != nullptr || config.reactive != nullptr),
+      state_(tree, config.num_robots),
+      movable_(static_cast<std::size_t>(k_), 1),
+      num_movable_(k_),
       view_(state_, movable_),
       selector_(state_, movable_),
-      wake_(static_cast<std::size_t>(k), 1),
-      parked_(static_cast<std::size_t>(k), 0) {
-  result_.robot_moves.assign(static_cast<std::size_t>(k), 0);
+      next_(static_cast<std::size_t>(k_), 1),
+      parked_(static_cast<std::size_t>(k_), 0),
+      walk_(static_cast<std::size_t>(k_)),
+      walk_pos_(static_cast<std::size_t>(k_), 0),
+      last_stay_(static_cast<std::size_t>(k_), -1) {
+  result_.robot_moves.assign(static_cast<std::size_t>(k_), 0);
   init_depth_accounting(tree, result_, unexplored_at_depth_);
-  algorithm_.begin(view_);
-  woken_.reserve(static_cast<std::size_t>(k));
-}
-
-std::int64_t FastForwardRun::next_event_round() const {
-  // Next event round: the earliest wake among non-parked robots.
-  std::int64_t event_round = max_rounds_ + 1;
-  for (std::int32_t i = 0; i < k_; ++i) {
-    if (!parked_[static_cast<std::size_t>(i)]) {
-      event_round =
-          std::min(event_round, wake_[static_cast<std::size_t>(i)]);
-    }
-  }
-  return event_round;
-}
-
-bool FastForwardRun::advance() {
-  if (done_) return false;
-  const std::int64_t event_round = next_event_round();
-
-  // Gap rounds (result.rounds, event_round): every non-parked robot is
-  // mid-walk and moves in each of them, so they all count; parked
-  // robots stay, which is exactly the stepped loop's idle accounting.
-  const std::int64_t gap_end = std::min(event_round - 1, max_rounds_);
-  if (gap_end > result_.rounds) {
-    const std::int64_t gap = gap_end - result_.rounds;
-    if (num_parked_ > 0) {
-      result_.rounds_with_idle += gap;
-      result_.idle_robot_rounds += gap * num_parked_;
-    }
-    result_.rounds = gap_end;
-  }
-  if (event_round > max_rounds_) {
-    // Either all robots are parked forever (stepped: the next round is
-    // all-stay or past the limit) or every remaining walk was capped
-    // at the limit; hit_round_limit is derived in finish().
-    done_ = true;
-    return false;
-  }
-
-  if (algorithm_.finished(view_)) {
-    done_ = true;
-    return false;
-  }
-
-  woken_.clear();
-  for (std::int32_t i = 0; i < k_; ++i) {
-    if (!parked_[static_cast<std::size_t>(i)] &&
-        wake_[static_cast<std::size_t>(i)] == event_round) {
-      woken_.push_back(i);
-    }
-  }
-
-  // Selection, restricted to the woken robots; everyone else is
-  // mid-walk (their move this round was already executed) or parked.
-  state_.set_clock_base(event_round);
-  selector_.reset();
-  algorithm_.select_moves_subset(view_, selector_, woken_);
-  const std::vector<MoveSelector::Pending>& pending =
-      EngineAccess::pending(selector_);
-
-  bool any_move = false;
-  for (std::int32_t i : woken_) {
-    const auto kind = pending[static_cast<std::size_t>(i)].kind;
-    if (kind == MoveSelector::Kind::kUp ||
-        kind == MoveSelector::Kind::kDownExplored ||
-        kind == MoveSelector::Kind::kDownDangling) {
-      any_move = true;
-      break;
-    }
-  }
-  if (!any_move) {
-    // A mid-walk robot (wake beyond this round) still moves this
-    // round; only if nobody moves is this Algorithm 1's terminal
-    // all-stay round, which is not counted.
-    bool walker_moving = false;
+  if (scheduler_ != nullptr) {
     for (std::int32_t i = 0; i < k_; ++i) {
-      if (!parked_[static_cast<std::size_t>(i)] &&
-          wake_[static_cast<std::size_t>(i)] > event_round) {
-        walker_moving = true;
-        break;
-      }
-    }
-    if (!walker_moving) {
-      done_ = true;
-      return false;
+      const std::int64_t first = scheduler_->first_activation(i);
+      BFDN_CHECK(first >= 1, "scheduler first_activation must be >= 1");
+      next_[static_cast<std::size_t>(i)] = first;
     }
   }
+  algorithm_.begin(view_);
+  due_.reserve(static_cast<std::size_t>(k_));
+  selecting_.reserve(static_cast<std::size_t>(k_));
+}
 
-  // Synchronous MOVE for the woken robots (mid-walk robots' moves for
-  // this round were executed when their walk was planned).
-  std::int64_t idle_movable = 0;
-  for (std::int32_t i : woken_) {
-    if (!apply_pending_move(tree_, state_, i,
-                            pending[static_cast<std::size_t>(i)],
-                            unexplored_at_depth_, result_, event_round)) {
-      ++idle_movable;
-    }
-  }
-  result_.rounds = event_round;
-  idle_movable += num_parked_;
-  if (idle_movable > 0) {
-    ++result_.rounds_with_idle;
-    result_.idle_robot_rounds += idle_movable;
-  }
-  flush_reanchor_counts(selector_, result_);
+std::int64_t RunContext::next_event_round() const {
+  // Everyone parked: the next round is Algorithm 1's terminal all-stay.
+  if (num_parked_ == k_) return result_.rounds + 1;
+  std::int64_t t = max_rounds_ + 1;
+  for (const std::int64_t next : next_) t = std::min(t, next);
+  return t;
+}
 
-  // Re-plan every woken robot from the post-MOVE state and execute
-  // committed walks immediately; the walk's steps occupy rounds
-  // event_round + 1 .. event_round + len.
-  for (std::int32_t i : woken_) {
-    plan_.kind = TransitPlan::Kind::kEvent;
-    plan_.path.clear();
-    algorithm_.plan_transit(view_, i, plan_);
-    switch (plan_.kind) {
-      case TransitPlan::Kind::kStayForever:
-        parked_[static_cast<std::size_t>(i)] = 1;
-        ++num_parked_;
-        break;
-      case TransitPlan::Kind::kEvent:
-        wake_[static_cast<std::size_t>(i)] = event_round + 1;
-        break;
-      case TransitPlan::Kind::kWalk: {
-        const auto full_len = static_cast<std::int64_t>(plan_.path.size());
-        const std::int64_t len =
-            std::min(full_len, max_rounds_ - event_round);
-        for (std::int64_t s = 0; s < len; ++s) {
-          apply_walk_step(tree_, state_, i,
-                          plan_.path[static_cast<std::size_t>(s)], result_);
-        }
-        // A limit-capped walk parks the robot just past the horizon.
-        wake_[static_cast<std::size_t>(i)] =
-            len < full_len ? max_rounds_ + 1 : event_round + len + 1;
-        break;
-      }
-    }
+bool RunContext::stop() {
+  done_ = true;
+  return false;
+}
+
+bool RunContext::walking(std::size_t robot) const {
+  return walk_pos_[robot] < walk_[robot].size();
+}
+
+bool RunContext::stable() const {
+  // Every robot is parked or has stayed strictly after the last move;
+  // stay-stability (part of the kAsyncSafe contract) guarantees nobody
+  // ever moves again. In lockstep this is exactly an all-stay round.
+  for (std::int32_t i = 0; i < k_; ++i) {
+    const auto s = static_cast<std::size_t>(i);
+    if (!parked_[s] && last_stay_[s] <= result_.rounds) return false;
   }
   return true;
 }
 
-RunResult FastForwardRun::finish() {
+bool RunContext::advance() {
+  if (done_) return false;
+  const std::int64_t t = next_event_round();
+
+  // Lockstep gap rounds (rounds, t): every unparked robot is mid-walk
+  // and moves in each of them, so they all count; parked robots stay.
+  if (scheduler_ == nullptr) {
+    const std::int64_t gap_end = std::min(t - 1, max_rounds_);
+    if (gap_end > result_.rounds) {
+      const std::int64_t gap = gap_end - result_.rounds;
+      result_.total_activations += gap * k_;
+      if (num_parked_ > 0) {
+        result_.rounds_with_idle += gap;
+        result_.idle_robot_rounds += gap * num_parked_;
+      }
+      result_.rounds = gap_end;
+    }
+  }
+
+  if (algorithm_.finished(view_)) return stop();
+  if (t > max_rounds_) {
+    result_.hit_round_limit = true;
+    return stop();
+  }
+  // Section 4.2: under an adversary there is no return to the root.
+  if (adversary_ && state_.exploration_complete()) return stop();
+  if (config_.schedule != nullptr) {
+    if (config_.schedule->exhausted(t - 1)) return stop();
+    num_movable_ = 0;
+    for (std::int32_t i = 0; i < k_; ++i) {
+      const bool allowed = config_.schedule->allowed(t - 1, i);
+      movable_[static_cast<std::size_t>(i)] = allowed ? 1 : 0;
+      num_movable_ += allowed ? 1 : 0;
+    }
+  }
+
+  due_.clear();
+  selecting_.clear();
+  for (std::int32_t i = 0; i < k_; ++i) {
+    const auto s = static_cast<std::size_t>(i);
+    if (next_[s] != t) continue;
+    due_.push_back(i);
+    if (scheduler_ != nullptr) {
+      next_[s] = scheduler_->next_activation(t, i);
+      BFDN_CHECK(next_[s] > t, "scheduler next_activation must advance time");
+    } else {
+      next_[s] = t + 1;
+    }
+    // In lockstep, parked robots and walkers are never due.
+    if (scheduler_ == nullptr || (!parked_[s] && !walking(s))) {
+      selecting_.push_back(i);
+    }
+  }
+
+  selector_.reset();
+  if (selecting_.size() == static_cast<std::size_t>(k_)) {
+    algorithm_.select_moves(view_, selector_);
+  } else if (!selecting_.empty()) {
+    algorithm_.select_moves_subset(view_, selector_, selecting_);
+  }
+  if (config_.reactive != nullptr) apply_reactive(t);
+
+  // MOVE over the due robots in ascending index order (the commit order
+  // group traversals rely on): walkers replay their next committed
+  // step, everyone else applies their selection.
+  const std::vector<MoveSelector::Pending>& pending =
+      EngineAccess::pending(selector_);
+  std::int64_t moves = 0;
+  std::int64_t idle = 0;
+  for (const std::int32_t i : due_) {
+    const auto s = static_cast<std::size_t>(i);
+    if (scheduler_ != nullptr && parked_[s]) {
+      ++idle;
+    } else if (scheduler_ != nullptr && walking(s)) {
+      apply_walk_step(tree_, state_, i, walk_[s][walk_pos_[s]++], result_);
+      ++moves;
+    } else if (apply_pending_move(tree_, state_, i, pending[s],
+                                  unexplored_at_depth_, result_, t)) {
+      ++moves;
+    } else {
+      last_stay_[s] = t;
+      if (movable_[s]) ++idle;
+    }
+  }
+  if (scheduler_ == nullptr) {
+    // Lockstep: parked robots stay, and the robots not due are mid-walk
+    // (their step for this round was executed when the walk was planned).
+    idle += num_parked_;
+    moves += k_ - num_parked_ - static_cast<std::int64_t>(due_.size());
+  }
+
+  if (moves == 0 && !adversary_) {
+    // Not a round. Algorithm 1's do-while ends on the first all-stay
+    // round; out of lockstep, once every robot has stayed since the
+    // last move.
+    if (stable()) return stop();
+  } else {
+    // A counted round. Under break-downs an all-stay round still passes
+    // time: it is counted and observed, but nothing else happened.
+    result_.rounds = t;
+    result_.total_activations += scheduler_ != nullptr
+                                     ? static_cast<std::int64_t>(due_.size())
+                                     : num_movable_;
+    if (moves > 0) {
+      if (idle > 0) {
+        ++result_.rounds_with_idle;
+        result_.idle_robot_rounds += idle;
+      }
+      flush_reanchor_counts(selector_, result_);
+      if (config_.trace != nullptr) {
+        TraceFrame frame;
+        frame.round = t;
+        frame.positions.reserve(static_cast<std::size_t>(k_));
+        for (std::int32_t i = 0; i < k_; ++i) {
+          frame.positions.push_back(state_.robot_pos(i));
+        }
+        config_.trace->push_back(std::move(frame));
+      }
+    }
+    if (config_.observer != nullptr) config_.observer->on_round(t, state_);
+    if (moves > 0 && config_.check_invariants) {
+      check_open_node_coverage(tree_, state_, algorithm_.anchors());
+    }
+  }
+
+  if (plans_walks_) plan(t);
+  return true;
+}
+
+void RunContext::apply_reactive(std::int64_t t) {
+  // Remark 8: the adversary sees the selections, then blocks.
+  std::vector<MoveSelector::Pending>& pending =
+      EngineAccess::pending(selector_);
+  observed_.assign(static_cast<std::size_t>(k_),
+                   ReactiveAdversary::ObservedMove{});
+  for (std::int32_t i = 0; i < k_; ++i) {
+    auto& entry = observed_[static_cast<std::size_t>(i)];
+    const auto kind = pending[static_cast<std::size_t>(i)].kind;
+    entry.robot = i;
+    entry.moves = is_move(kind);
+    entry.takes_dangling = kind == MoveSelector::Kind::kDownDangling;
+  }
+  const std::vector<char> blocked =
+      config_.reactive->choose_blocked(t - 1, observed_);
+  BFDN_CHECK(static_cast<std::int32_t>(blocked.size()) == k_,
+             "reactive adversary returned a wrong-sized block mask");
+  for (std::int32_t i = 0; i < k_; ++i) {
+    if (!blocked[static_cast<std::size_t>(i)]) continue;
+    auto& p = pending[static_cast<std::size_t>(i)];
+    if (is_move(p.kind)) ++result_.reactive_blocks;
+    p = {MoveSelector::Kind::kStay, kInvalidNode};
+  }
+  // Release reservations whose edge no robot will traverse anymore (a
+  // group-joining teammate may still carry a blocked reserver's edge,
+  // in which case the reservation must survive to be consumed by that
+  // commit).
+  for (const auto& [token, at] : EngineAccess::reservations(selector_)) {
+    bool still_used = false;
+    for (const auto& p : pending) {
+      if (p.kind == MoveSelector::Kind::kDownDangling && p.target == token) {
+        still_used = true;
+        break;
+      }
+    }
+    if (!still_used) state_.release_dangling(at, token);
+  }
+}
+
+// Why eager walks are exact: a committed-segment algorithm decides each
+// robot's move from shared exploration state plus that robot's own
+// private state only, and transit moves touch no shared state another
+// robot's decision reads (traversal flags are write-only bookkeeping;
+// dangling counts only ever decrease). Executing a walk the moment it
+// is planned is therefore indistinguishable from interleaving its steps
+// with the other robots' rounds. See docs/MODEL.md.
+void RunContext::plan(std::int64_t t) {
+  // Re-plan every robot that just selected, from the post-MOVE state.
+  for (const std::int32_t i : selecting_) {
+    const auto s = static_cast<std::size_t>(i);
+    plan_.kind = TransitPlan::Kind::kEvent;
+    plan_.path.clear();
+    algorithm_.plan_transit(view_, i, plan_);
+    if (plan_.kind == TransitPlan::Kind::kStayForever) {
+      parked_[s] = 1;
+      ++num_parked_;
+      if (scheduler_ == nullptr) next_[s] = max_rounds_ + 1;
+    } else if (plan_.kind == TransitPlan::Kind::kWalk) {
+      if (scheduler_ != nullptr) {
+        walk_[s].swap(plan_.path);
+        walk_pos_[s] = 0;
+        continue;
+      }
+      // Lockstep: execute the walk now; its steps occupy rounds
+      // t + 1 .. t + len, and a walk capped by the limit never wakes.
+      const auto full_len = static_cast<std::int64_t>(plan_.path.size());
+      const std::int64_t len = std::min(full_len, max_rounds_ - t);
+      for (std::int64_t step = 0; step < len; ++step) {
+        apply_walk_step(tree_, state_, i,
+                        plan_.path[static_cast<std::size_t>(step)], result_);
+      }
+      next_[s] = len < full_len ? max_rounds_ + 1 : t + len + 1;
+    }
+  }
+}
+
+RunResult RunContext::finish() {
   BFDN_REQUIRE(done_, "finish() before the run ended");
   BFDN_REQUIRE(!finished_, "finish() called twice");
   finished_ = true;
-  // The stepped loop flags the limit whenever it executes max_rounds
-  // rounds without an earlier break (its limit check precedes the
-  // round's all-stay test).
-  if (result_.rounds >= max_rounds_) result_.hit_round_limit = true;
-  // All clocks tick together: every robot is activated (mid-walk,
-  // parked-stay or selecting) in every counted round, exactly like the
-  // stepped loop.
-  result_.total_activations =
-      static_cast<std::int64_t>(k_) * result_.rounds;
   result_.complete = state_.num_explored_nodes() == tree_.num_nodes();
   result_.edge_events = state_.edge_events();
   result_.all_at_root = true;
@@ -453,239 +585,6 @@ RunResult FastForwardRun::finish() {
 
 }  // namespace engine_internal
 
-namespace {
-
-RunResult run_fast_forward(const Tree& tree, Algorithm& algorithm,
-                           const RunConfig& config,
-                           std::int64_t max_rounds) {
-  engine_internal::FastForwardRun run(tree, algorithm, config.num_robots,
-                                      max_rounds);
-  while (run.advance()) {
-  }
-  return run.finish();
-}
-
-/// Per-robot-clock event loop (RunConfig::async). Time is a virtual
-/// integer axis; the scheduler decides at which times each robot is
-/// activated, and every loop iteration processes the earliest pending
-/// activation time T as one synchronous mini-round over the robots
-/// activated at T: selection against the pre-MOVE state, then MOVE in
-/// ascending robot index — the same two-phase structure as the stepped
-/// loop, so a lockstep (round-robin) schedule reproduces the
-/// synchronous execution bit-exactly.
-///
-/// Two sub-modes, equivalent for committed-segment algorithms:
-///  * plan-batched (default): after each selection the robot's transit
-///    is planned once (plan_transit) and a kWalk path is replayed one
-///    step per activation without calling back into the algorithm;
-///    kStayForever parks the robot — it keeps its activation slots
-///    (stay accounting) but never selects again.
-///  * stepped fallback: every activation runs real selection. Forced by
-///    per-round hooks (trace / observer / check_invariants) or a
-///    step-only transit capability.
-///
-/// Termination: no global all-stay round exists under a partial
-/// schedule, so the engine tracks the last time any robot moved and,
-/// per robot, the last time it was activated and chose to stay. Once
-/// every robot is parked or has stayed strictly after the last move,
-/// stay-stability (part of the kAsyncSafe contract) guarantees nobody
-/// ever moves again. Under round-robin this fires exactly on the
-/// stepped loop's uncounted terminal all-stay round.
-///
-/// Accounting: an event time T is "counted" iff at least one move
-/// executes at T. A counted event mirrors one stepped round: idle =
-/// stay slots (including parked robots' slots), total_activations +=
-/// batch size, depth completion and hooks use round = T. Uncounted
-/// events contribute nothing, and result.rounds is the makespan — the
-/// last counted time.
-RunResult run_async(const Tree& tree, Algorithm& algorithm,
-                    const RunConfig& config, std::int64_t max_rounds) {
-  const std::int32_t k = config.num_robots;
-  const AsyncScheduler& schedule = *config.async;
-  ExplorationState state(tree, k);
-  RunResult result;
-  result.robot_moves.assign(static_cast<std::size_t>(k), 0);
-  std::vector<std::int64_t> unexplored_at_depth;
-  init_depth_accounting(tree, result, unexplored_at_depth);
-
-  const std::vector<char> movable(static_cast<std::size_t>(k), 1);
-  ExplorationView view(state, movable);
-  algorithm.begin(view);
-  MoveSelector selector(state, movable);
-
-  const bool batched =
-      algorithm.transit_capability() ==
-          TransitCapability::kCommittedSegments &&
-      config.trace == nullptr && config.observer == nullptr &&
-      !config.check_invariants;
-
-  std::vector<std::int64_t> next_time(static_cast<std::size_t>(k));
-  for (std::int32_t i = 0; i < k; ++i) {
-    const std::int64_t first = schedule.first_activation(i);
-    BFDN_CHECK(first >= 1, "scheduler first_activation must be >= 1");
-    next_time[static_cast<std::size_t>(i)] = first;
-  }
-  std::vector<char> parked(static_cast<std::size_t>(k), 0);
-  // Batched-mode walk replay: walk_of[i] is robot i's committed path,
-  // walk_pos[i] the next step; an exhausted path means the robot's next
-  // activation runs selection.
-  std::vector<std::vector<NodeId>> walk_of(static_cast<std::size_t>(k));
-  std::vector<std::size_t> walk_pos(static_cast<std::size_t>(k), 0);
-
-  std::vector<std::int64_t> last_stay_time(static_cast<std::size_t>(k), -1);
-  std::int64_t last_move_time = 0;
-
-  std::vector<std::int32_t> slots;      // robots activated at T, ascending
-  std::vector<std::int32_t> selecting;  // the slots that run selection
-  slots.reserve(static_cast<std::size_t>(k));
-  selecting.reserve(static_cast<std::size_t>(k));
-  TransitPlan plan;
-
-  for (;;) {
-    std::int64_t event_time = next_time[0];
-    for (std::int32_t i = 1; i < k; ++i) {
-      event_time = std::min(event_time, next_time[static_cast<std::size_t>(i)]);
-    }
-    if (algorithm.finished(view)) break;
-    if (event_time > max_rounds) {
-      result.hit_round_limit = true;
-      break;
-    }
-
-    slots.clear();
-    selecting.clear();
-    for (std::int32_t i = 0; i < k; ++i) {
-      if (next_time[static_cast<std::size_t>(i)] != event_time) continue;
-      slots.push_back(i);
-      const std::int64_t next = schedule.next_activation(event_time, i);
-      BFDN_CHECK(next > event_time,
-                 "scheduler next_activation must advance time");
-      next_time[static_cast<std::size_t>(i)] = next;
-      state.set_robot_clock(i, event_time);
-      if (parked[static_cast<std::size_t>(i)]) continue;  // stay slot
-      if (batched && walk_pos[static_cast<std::size_t>(i)] <
-                         walk_of[static_cast<std::size_t>(i)].size()) {
-        continue;  // mid-walk: the step is committed, no selection
-      }
-      selecting.push_back(i);
-    }
-
-    selector.reset();
-    if (!selecting.empty()) {
-      algorithm.select_moves_subset(view, selector, selecting);
-    }
-    const std::vector<MoveSelector::Pending>& pending =
-        EngineAccess::pending(selector);
-
-    // MOVE over the whole batch, ascending robot index (the commit
-    // order group traversals rely on): walkers replay their next
-    // committed step, selectors apply their selected move.
-    std::int64_t moves = 0;
-    std::int64_t idle_slots = 0;
-    for (std::int32_t i : slots) {
-      const auto s = static_cast<std::size_t>(i);
-      if (parked[s]) {
-        ++idle_slots;
-        continue;
-      }
-      if (batched && walk_pos[s] < walk_of[s].size()) {
-        apply_walk_step(tree, state, i, walk_of[s][walk_pos[s]++], result);
-        ++moves;
-        continue;
-      }
-      if (apply_pending_move(tree, state, i, pending[s],
-                             unexplored_at_depth, result, event_time)) {
-        ++moves;
-      } else {
-        ++idle_slots;
-        last_stay_time[s] = event_time;
-      }
-    }
-
-    if (moves > 0) {
-      last_move_time = event_time;
-      if (idle_slots > 0) {
-        ++result.rounds_with_idle;
-        result.idle_robot_rounds += idle_slots;
-      }
-      result.total_activations += static_cast<std::int64_t>(slots.size());
-      flush_reanchor_counts(selector, result);
-
-      // Per-round hooks only ever run in the stepped sub-mode (their
-      // presence disables batching above); they see counted events as
-      // rounds, exactly the stepped loop's view under round-robin.
-      if (config.trace != nullptr) {
-        TraceFrame frame;
-        frame.round = event_time;
-        frame.positions.reserve(static_cast<std::size_t>(k));
-        for (std::int32_t i = 0; i < k; ++i) {
-          frame.positions.push_back(state.robot_pos(i));
-        }
-        config.trace->push_back(std::move(frame));
-      }
-      if (config.observer != nullptr) {
-        config.observer->on_round(event_time, state);
-      }
-      if (config.check_invariants) {
-        check_open_node_coverage(tree, state, algorithm.anchors());
-      }
-    }
-
-    // Re-plan the robots that just ran selection from the post-MOVE
-    // state (mirrors the fast-forward plan step).
-    if (batched) {
-      for (std::int32_t i : selecting) {
-        const auto s = static_cast<std::size_t>(i);
-        plan.kind = TransitPlan::Kind::kEvent;
-        plan.path.clear();
-        algorithm.plan_transit(view, i, plan);
-        switch (plan.kind) {
-          case TransitPlan::Kind::kStayForever:
-            parked[s] = 1;
-            break;
-          case TransitPlan::Kind::kEvent:
-            walk_of[s].clear();
-            walk_pos[s] = 0;
-            break;
-          case TransitPlan::Kind::kWalk:
-            walk_of[s] = std::move(plan.path);
-            walk_pos[s] = 0;
-            plan.path.clear();
-            break;
-        }
-      }
-    }
-
-    // Natural termination: every robot is parked or has stayed
-    // strictly after the last move anywhere in the system.
-    bool stable = true;
-    for (std::int32_t i = 0; i < k; ++i) {
-      const auto s = static_cast<std::size_t>(i);
-      if (parked[s]) continue;
-      if (last_stay_time[s] <= last_move_time) {
-        stable = false;
-        break;
-      }
-    }
-    if (stable) break;
-  }
-
-  result.rounds = last_move_time;
-  result.complete = state.num_explored_nodes() == tree.num_nodes();
-  result.edge_events = state.edge_events();
-  result.all_at_root = true;
-  for (std::int32_t i = 0; i < k; ++i) {
-    if (state.robot_pos(i) != tree.root()) {
-      result.all_at_root = false;
-      break;
-    }
-  }
-  result.final_state_hash = state.state_hash();
-  return result;
-}
-
-}  // namespace
-
 RunResult run_exploration(const Tree& tree, Algorithm& algorithm,
                           const RunConfig& config) {
   BFDN_REQUIRE(config.num_robots >= 1, "need at least one robot");
@@ -695,201 +594,10 @@ RunResult run_exploration(const Tree& tree, Algorithm& algorithm,
                    (config.schedule == nullptr && config.reactive == nullptr),
                "async scheduler is mutually exclusive with the break-down "
                "and reactive adversaries");
-  const std::int64_t max_rounds = config.max_rounds > 0
-                                      ? config.max_rounds
-                                      : default_round_limit(tree);
-
-  // Per-robot-clock mode: only algorithms that advertise async-safety
-  // run the real event loop; a lockstep-only algorithm under an async
-  // config is auto-driven by the synchronous round-robin schedule,
-  // which is exactly the stepped loop below.
-  if (config.async != nullptr &&
-      algorithm.activation_granularity() ==
-          ActivationGranularity::kAsyncSafe) {
-    return run_async(tree, algorithm, config, max_rounds);
+  engine_internal::RunContext run(tree, algorithm, config);
+  while (run.advance()) {
   }
-
-  // Fast-forward needs committed-segment hints from the algorithm and
-  // is incompatible with anything that must see (or perturb) every
-  // round: per-round hooks and adversaries force the stepped loop.
-  const bool use_fast_forward =
-      config.fast_forward && config.schedule == nullptr &&
-      config.reactive == nullptr && config.trace == nullptr &&
-      config.observer == nullptr && !config.check_invariants &&
-      algorithm.transit_capability() == TransitCapability::kCommittedSegments;
-  if (use_fast_forward) {
-    return run_fast_forward(tree, algorithm, config, max_rounds);
-  }
-
-  ExplorationState state(tree, config.num_robots);
-  RunResult result;
-  result.robot_moves.assign(static_cast<std::size_t>(config.num_robots), 0);
-  // Per-depth discovery accounting for the completion timeline.
-  std::vector<std::int64_t> unexplored_at_depth;
-  init_depth_accounting(tree, result, unexplored_at_depth);
-
-  std::vector<char> movable(static_cast<std::size_t>(config.num_robots), 1);
-  ExplorationView view(state, movable);
-  algorithm.begin(view);
-
-  // Round-loop scratch, hoisted so a steady-state round allocates
-  // nothing: the selector and the mutable copy of its selections are
-  // reset in place every round.
-  MoveSelector selector(state, movable);
-  std::vector<MoveSelector::Pending> pending;
-  pending.reserve(static_cast<std::size_t>(config.num_robots));
-  std::vector<ReactiveAdversary::ObservedMove> observed;
-
-  for (std::int64_t t = 0;; ++t) {
-    if (algorithm.finished(view)) break;
-    if (t >= max_rounds) {
-      result.hit_round_limit = true;
-      break;
-    }
-
-    if (config.schedule != nullptr || config.reactive != nullptr) {
-      if (state.exploration_complete()) break;  // Section 4.2: no return
-    }
-    if (config.schedule != nullptr) {
-      if (config.schedule->exhausted(t)) break;
-      for (std::int32_t i = 0; i < config.num_robots; ++i) {
-        movable[static_cast<std::size_t>(i)] =
-            config.schedule->allowed(t, i) ? 1 : 0;
-      }
-    }
-
-    state.set_clock_base(t + 1);
-    selector.reset();
-    algorithm.select_moves(view, selector);
-
-    // Mutable copy of the round's selections: the reactive adversary may
-    // cancel some of them below.
-    pending.assign(EngineAccess::pending(selector).begin(),
-                   EngineAccess::pending(selector).end());
-
-    if (config.reactive != nullptr) {
-      observed.assign(static_cast<std::size_t>(config.num_robots),
-                      ReactiveAdversary::ObservedMove{});
-      for (std::int32_t i = 0; i < config.num_robots; ++i) {
-        auto& entry = observed[static_cast<std::size_t>(i)];
-        entry.robot = i;
-        const auto kind = pending[static_cast<std::size_t>(i)].kind;
-        entry.moves = kind == MoveSelector::Kind::kUp ||
-                      kind == MoveSelector::Kind::kDownExplored ||
-                      kind == MoveSelector::Kind::kDownDangling;
-        entry.takes_dangling =
-            kind == MoveSelector::Kind::kDownDangling;
-      }
-      const std::vector<char> blocked =
-          config.reactive->choose_blocked(t, observed);
-      BFDN_CHECK(static_cast<std::int32_t>(blocked.size()) ==
-                     config.num_robots,
-                 "reactive adversary returned a wrong-sized block mask");
-      for (std::int32_t i = 0; i < config.num_robots; ++i) {
-        if (!blocked[static_cast<std::size_t>(i)]) continue;
-        auto& p = pending[static_cast<std::size_t>(i)];
-        if (p.kind != MoveSelector::Kind::kNone &&
-            p.kind != MoveSelector::Kind::kStay) {
-          ++result.reactive_blocks;
-        }
-        p = {MoveSelector::Kind::kStay, kInvalidNode};
-      }
-      // Release reservations whose edge no robot will traverse anymore
-      // (a group-joining teammate may still carry a blocked reserver's
-      // edge, in which case the reservation must survive to be consumed
-      // by that commit).
-      for (const auto& [token, at] : EngineAccess::reservations(selector)) {
-        bool still_used = false;
-        for (const auto& p : pending) {
-          if (p.kind == MoveSelector::Kind::kDownDangling &&
-              p.target == token) {
-            still_used = true;
-            break;
-          }
-        }
-        if (!still_used) state.release_dangling(at, token);
-      }
-    }
-
-    bool any_move = false;
-    for (const auto& p : pending) {
-      if (p.kind == MoveSelector::Kind::kUp ||
-          p.kind == MoveSelector::Kind::kDownExplored ||
-          p.kind == MoveSelector::Kind::kDownDangling) {
-        any_move = true;
-        break;
-      }
-    }
-    if (!any_move) {
-      // This is Algorithm 1's termination test: the terminal round is
-      // not counted. (Any dangling reservation always comes with a
-      // move, and cancelled ones were already released above.)
-      if (config.schedule == nullptr && config.reactive == nullptr) {
-        break;
-      }
-      // Under break-downs an all-stay round can simply mean every useful
-      // robot was blocked; time still passes.
-      ++result.rounds;
-      for (const char m : movable) {
-        if (m) ++result.total_activations;
-      }
-      if (config.observer != nullptr) {
-        config.observer->on_round(result.rounds, state);
-      }
-      continue;
-    }
-
-    // Synchronous MOVE.
-    std::int64_t idle_movable = 0;
-    for (std::int32_t i = 0; i < config.num_robots; ++i) {
-      if (!apply_pending_move(tree, state, i,
-                              pending[static_cast<std::size_t>(i)],
-                              unexplored_at_depth, result,
-                              result.rounds + 1) &&
-          movable[static_cast<std::size_t>(i)]) {
-        ++idle_movable;
-      }
-    }
-    ++result.rounds;
-    for (const char m : movable) {
-      if (m) ++result.total_activations;
-    }
-    if (idle_movable > 0) {
-      ++result.rounds_with_idle;
-      result.idle_robot_rounds += idle_movable;
-    }
-    flush_reanchor_counts(selector, result);
-
-    if (config.trace != nullptr) {
-      TraceFrame frame;
-      frame.round = result.rounds;
-      frame.positions.reserve(static_cast<std::size_t>(config.num_robots));
-      for (std::int32_t i = 0; i < config.num_robots; ++i) {
-        frame.positions.push_back(state.robot_pos(i));
-      }
-      config.trace->push_back(std::move(frame));
-    }
-
-    if (config.observer != nullptr) {
-      config.observer->on_round(result.rounds, state);
-    }
-
-    if (config.check_invariants) {
-      check_open_node_coverage(tree, state, algorithm.anchors());
-    }
-  }
-
-  result.complete = state.num_explored_nodes() == tree.num_nodes();
-  result.edge_events = state.edge_events();
-  result.all_at_root = true;
-  for (std::int32_t i = 0; i < config.num_robots; ++i) {
-    if (state.robot_pos(i) != tree.root()) {
-      result.all_at_root = false;
-      break;
-    }
-  }
-  result.final_state_hash = state.state_hash();
-  return result;
+  return run.finish();
 }
 
 std::int64_t default_round_limit(const Tree& tree) {

@@ -1,12 +1,14 @@
-// Synchronous round engine for collaborative tree exploration
-// (complete-communication model, Section 2; break-down extension,
-// Section 4.2).
+// Round engine for collaborative tree exploration (complete-
+// communication model, Section 2; break-down extension, Section 4.2;
+// per-robot clocks, see docs/MODEL.md).
 //
 // A round is: (1) the algorithm makes sequential per-robot selections
 // through MoveSelector (mirroring Algorithm 1's "for i = 1 to k"
 // decision loop, including exclusive reservation of dangling edges —
 // Claim 2 holds by construction); (2) all selected moves execute
-// synchronously and the partially explored tree is updated.
+// synchronously and the partially explored tree is updated. Every run
+// executes through one event loop (engine_internal::RunContext) that
+// processes the robots due at each event time as such a round.
 #pragma once
 
 #include <cstdint>
@@ -51,8 +53,11 @@ class AsyncScheduler {
   virtual std::int64_t next_activation(std::int64_t now,
                                        std::int32_t robot) const = 0;
   /// True iff every robot is activated at every virtual time (all
-  /// clocks tick together) — the schedule under which the async engine
-  /// must reproduce the synchronous engine bit-identically.
+  /// clocks tick together). The engine then runs the schedule on the
+  /// synchronous path: committed walks execute eagerly and the rounds
+  /// between events are accounted analytically. A scheduler that
+  /// activates everyone every tick but returns false here gets the
+  /// per-activation path instead, with identical results.
   virtual bool lockstep() const { return false; }
 };
 
@@ -165,8 +170,7 @@ enum class TransitCapability : std::uint8_t {
 /// state, (3) stay-stability: a robot that selected stay selects stay
 /// again at its next activation if no move executed in between, and
 /// (4) finished() left at the default. Lockstep-only algorithms under
-/// an async RunConfig are auto-driven by the round-robin schedule,
-/// i.e. executed synchronously.
+/// an async RunConfig ignore the scheduler and run synchronously.
 enum class ActivationGranularity : std::uint8_t {
   kLockstep,
   kAsyncSafe,
@@ -183,7 +187,7 @@ enum class ActivationGranularity : std::uint8_t {
 ///    round after arrival. An empty path is equivalent to kEvent.
 ///  - kStayForever: the robot selects stay (the paper's ⊥) in every
 ///    remaining round of the run, no matter how the state evolves.
-/// The contract is that replaying the stepped engine would produce
+/// The contract is that round-by-round selection would produce
 /// exactly these moves; see docs/MODEL.md ("Fast-forward") for the
 /// obligations this places on the algorithm.
 struct TransitPlan {
@@ -219,9 +223,9 @@ class Algorithm {
   /// anchor-based.
   virtual std::vector<NodeId> anchors() const;
 
-  /// Opt-in to the per-robot-clock engine (RunConfig::async). Default:
-  /// kLockstep — the engine then drives the algorithm round-robin
-  /// (synchronously) even when an async scheduler is configured.
+  /// Opt-in to per-robot clocks (RunConfig::async). Default: kLockstep
+  /// — the engine then drives the algorithm synchronously even when an
+  /// async scheduler is configured.
   virtual ActivationGranularity activation_granularity() const;
 
   /// Opt-in to the engine's fast-forward mode. Default: kStepOnly.
@@ -229,8 +233,8 @@ class Algorithm {
   /// plan_transit and select_moves_subset, must not override finished(),
   /// and their select_moves must decide each robot's move from shared
   /// exploration state plus that robot's own private state only (never
-  /// from another robot's position) — the fast-forward engine advances
-  /// robots out of lockstep between events.
+  /// from another robot's position) — with committed segments the
+  /// engine advances robots out of lockstep between events.
   virtual TransitCapability transit_capability() const;
 
   /// Fast-forward planning hook, called for robot `robot` immediately
@@ -280,21 +284,21 @@ struct RunConfig {
   ReactiveAdversary* reactive = nullptr;
   /// Per-robot-clock activation source; nullptr = the synchronous
   /// model (all robots activated every round). Mutually exclusive with
-  /// `schedule` and `reactive`. Algorithms advertising kAsyncSafe run
-  /// through the async event loop; kLockstep algorithms are auto-driven
-  /// by the round-robin schedule (i.e. the scheduler is ignored and the
-  /// run is synchronous; see docs/MODEL.md).
+  /// `schedule` and `reactive`. Only algorithms advertising kAsyncSafe
+  /// follow it; for kLockstep algorithms it is ignored and the run is
+  /// synchronous (see docs/MODEL.md).
   AsyncScheduler* async = nullptr;
   /// If non-null, receives one frame per executed round.
   std::vector<TraceFrame>* trace = nullptr;
   /// If non-null, called after every counted round (verification hook).
   RoundObserver* observer = nullptr;
-  /// Event-driven fast-forward: between events the engine executes each
-  /// robot's committed walk in one batched update instead of stepping
-  /// every round. Results are identical to the stepped engine. Auto-
-  /// disabled (falls back to stepping) when the algorithm is step-only,
-  /// an observer/trace/invariant-checker needs per-round state, or a
-  /// break-down schedule / reactive adversary can interrupt transits.
+  /// Event-driven fast-forward: robots plan committed walks between
+  /// their decision events instead of selecting at every activation;
+  /// in lockstep a walk executes in one batched update. Results are
+  /// identical either way. Ignored (every robot selects every round)
+  /// when the algorithm is step-only, an observer/trace/invariant-
+  /// checker needs per-round state, or a break-down schedule / reactive
+  /// adversary can interrupt transits.
   bool fast_forward = true;
 };
 

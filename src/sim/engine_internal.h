@@ -1,10 +1,6 @@
-// Engine internals shared between the execution drivers: the stepped
-// round loop and the async event loop in engine.cpp, and the batched
-// campaign kernel in batch_executor.cpp. Everything here used to live
-// in engine.cpp's anonymous namespace; it is exposed (under
-// engine_internal) so the batch executor can replay the fast-forward
-// semantics bit-identically instead of approximating them. Not part of
-// the public simulation API — include sim/engine.h instead.
+// The engine's one execution core, shared by run_exploration
+// (engine.cpp) and the batched campaign kernel (batch_executor.cpp).
+// Not part of the public simulation API — include sim/engine.h instead.
 #pragma once
 
 #include <cstdint>
@@ -13,111 +9,90 @@
 #include "sim/engine.h"
 
 namespace bfdn {
-
-// Engine-private access to MoveSelector internals (friend of
-// MoveSelector; see engine.h).
-struct EngineAccess {
-  static const std::vector<MoveSelector::Pending>& pending(
-      const MoveSelector& sel) {
-    return sel.pending_;
-  }
-  static const std::vector<std::uint64_t>& reanchors(
-      const MoveSelector& sel) {
-    return sel.reanchor_counts_;
-  }
-  static const std::vector<std::uint64_t>& reanchor_switches(
-      const MoveSelector& sel) {
-    return sel.reanchor_switch_counts_;
-  }
-  static const std::vector<std::pair<NodeId, NodeId>>& reservations(
-      const MoveSelector& sel) {
-    return sel.reserved_this_round_;
-  }
-};
-
 namespace engine_internal {
 
-/// Claim 4: all open nodes lie in the union of anchor subtrees.
-void check_open_node_coverage(const Tree& tree,
-                              const ExplorationState& state,
-                              const std::vector<NodeId>& anchors);
+/// True iff a run may plan committed walks (TransitPlan) instead of
+/// selecting every robot at every activation: the algorithm exposes
+/// committed segments, fast-forward is requested, and nothing needs to
+/// see or perturb every round (per-round hooks, break-down schedule,
+/// reactive adversary). Results are identical either way.
+bool plans_walks(const Algorithm& algorithm, const RunConfig& config);
 
-/// Shared result/accounting setup for every engine mode.
-void init_depth_accounting(const Tree& tree, RunResult& result,
-                           std::vector<std::int64_t>& unexplored_at_depth);
-
-/// Flushes the selector's per-depth reanchor counters into the result
-/// histograms (identical in every engine mode).
-void flush_reanchor_counts(const MoveSelector& selector, RunResult& result);
-
-/// The MOVE step for one robot's selected move, identical in every
-/// engine mode: position update, first-traversal flags, dangling commit
-/// with depth-completion accounting, per-robot move counter. Returns
-/// true iff the robot actually moved (i.e. not stay/none; the caller
-/// does its own idle accounting). `commit_round` is the round recorded
-/// in depth_completed_round when this move commits the last unexplored
-/// node of a depth.
-bool apply_pending_move(const Tree& tree, ExplorationState& state,
-                        std::int32_t robot, const MoveSelector::Pending& p,
-                        std::vector<std::int64_t>& unexplored_at_depth,
-                        RunResult& result, std::int64_t commit_round);
-
-/// One step of a committed walk (TransitPlan::kWalk): validates the
-/// step, records the traversal and advances the robot. Shared between
-/// the fast-forward engine (which executes whole walks eagerly), the
-/// async engine (which replays them one activation at a time) and the
-/// batch executor.
-void apply_walk_step(const Tree& tree, ExplorationState& state,
-                     std::int32_t robot, NodeId next, RunResult& result);
-
-/// Resumable fast-forward execution context: run_fast_forward's event
-/// loop cut at its event boundaries. One advance() call processes one
-/// event round (the algorithm's real selection logic for the woken
-/// robots, their moves, and the eager execution of any committed walks
-/// they plan), including the analytic gap accounting that precedes the
-/// event. The run's observable behavior is a pure function of
-/// (tree, algorithm, k, max_rounds) — each context owns all of its
-/// mutable state — so any interleaving of advance() calls across
-/// independent contexts produces exactly the results of running each
-/// context to completion on its own. BatchExecutor relies on this to
-/// interleave R runs over one shared tree.
-class FastForwardRun {
+/// Resumable run context: the engine's event loop cut at its event
+/// boundaries. Per robot it keeps a next-activation time, an optional
+/// committed walk and a parked flag (TransitPlan::kStayForever). One
+/// advance() call processes one event time T: the robots due at T form
+/// one synchronous mini-round — selection in ascending index order, the
+/// adversary filters, MOVE, the per-round hooks — then the robots that
+/// selected plan their next segment (when plans_walks).
+///
+/// When every robot is due every tick (the synchronous model, an
+/// AsyncScheduler whose lockstep() is true, or a lockstep-only
+/// algorithm) a committed walk executes eagerly the moment it is
+/// planned and the rounds between events are accounted analytically;
+/// under any other scheduler a walk is replayed one step per
+/// activation. Without walk planning every due robot selects, which is
+/// the literal round-by-round execution.
+///
+/// The run's observable behavior is a pure function of its inputs —
+/// each context owns all of its mutable state — so any interleaving of
+/// advance() calls across independent contexts produces exactly the
+/// results of running each to completion on its own. BatchExecutor
+/// relies on this to interleave R runs over one shared tree.
+class RunContext {
  public:
-  FastForwardRun(const Tree& tree, Algorithm& algorithm, std::int32_t k,
-                 std::int64_t max_rounds);
+  /// `config` must already be validated (see run_exploration).
+  RunContext(const Tree& tree, Algorithm& algorithm, const RunConfig& config);
 
-  /// Round of the next pending selection event; max_rounds + 1 when
-  /// every robot is parked or capped (the next advance() terminates).
+  /// Time of the next event (max_rounds + 1 when none remains within
+  /// the round limit; the next advance() then terminates).
   std::int64_t next_event_round() const;
 
-  bool done() const { return done_; }
-
-  /// Processes one event round. Returns false once the run has ended
-  /// (round limit, algorithm finished, or terminal all-stay).
+  /// Processes one event. Returns false once the run has ended (round
+  /// limit, algorithm finished, adversary done, or natural termination).
   bool advance();
 
-  /// Final accounting (round-limit flag, activation total, completion
-  /// flags, state hash) and result hand-over. Call once, after done().
+  /// Final result hand-over. Call once, after advance() returned false.
   RunResult finish();
 
  private:
+  bool stop();
+  bool walking(std::size_t robot) const;
+  bool stable() const;
+  void apply_reactive(std::int64_t t);
+  void plan(std::int64_t t);
+
   const Tree& tree_;
   Algorithm& algorithm_;
+  const RunConfig config_;
   const std::int32_t k_;
   const std::int64_t max_rounds_;
+  // Non-null iff robots are activated out of lockstep.
+  const AsyncScheduler* const scheduler_;
+  const bool plans_walks_;
+  const bool adversary_;
   ExplorationState state_;
   RunResult result_;
   std::vector<std::int64_t> unexplored_at_depth_;
-  const std::vector<char> movable_;
+  std::vector<char> movable_;
+  std::int64_t num_movable_;
   ExplorationView view_;
   MoveSelector selector_;
-  // wake_[i]: next round in which robot i runs selection; parked robots
-  // (kStayForever, or walks capped by the round limit) get the sentinel
-  // max_rounds + 1 and never wake. All robots start awake at round 1.
-  std::vector<std::int64_t> wake_;
+  // next_[i]: robot i's next activation. In lockstep, robots mid-walk
+  // (and parked ones) sit at their wake round instead; a walk capped by
+  // the round limit wakes at max_rounds + 1, i.e. never.
+  std::vector<std::int64_t> next_;
   std::vector<char> parked_;
-  std::int64_t num_parked_ = 0;
-  std::vector<std::int32_t> woken_;
+  std::int32_t num_parked_ = 0;
+  // Out-of-lockstep walk replay: walk_[i][walk_pos_[i]] is robot i's
+  // next committed step.
+  std::vector<std::vector<NodeId>> walk_;
+  std::vector<std::size_t> walk_pos_;
+  // Last event time at which each robot was activated and stayed.
+  std::vector<std::int64_t> last_stay_;
+  std::vector<std::int32_t> due_;        // activated at T, ascending
+  std::vector<std::int32_t> selecting_;  // the due robots that select
+  std::vector<ReactiveAdversary::ObservedMove> observed_;
   TransitPlan plan_;  // reused; path keeps its capacity across events
   bool done_ = false;
   bool finished_ = false;

@@ -15,7 +15,6 @@ ExplorationState::ExplorationState(const Tree& tree, std::int32_t num_robots)
   BFDN_REQUIRE(num_robots >= 1, "need at least one robot");
   const auto n = static_cast<std::size_t>(tree.num_nodes());
   robot_pos_.assign(static_cast<std::size_t>(num_robots), tree.root());
-  robot_clock_.assign(static_cast<std::size_t>(num_robots), 0);
   explored_.assign(n, 0);
   reserved_.assign(n, 0);
   traversed_down_.assign(n, 0);
@@ -73,19 +72,6 @@ void ExplorationState::set_robot_pos(std::int32_t robot, NodeId v) {
   BFDN_REQUIRE(robot >= 0 && robot < num_robots_, "robot index");
   robot_pos_[static_cast<std::size_t>(robot)] = v;
 }
-
-std::int64_t ExplorationState::robot_clock(std::int32_t robot) const {
-  BFDN_REQUIRE(robot >= 0 && robot < num_robots_, "robot index");
-  return std::max(clock_base_,
-                  robot_clock_[static_cast<std::size_t>(robot)]);
-}
-
-void ExplorationState::set_robot_clock(std::int32_t robot, std::int64_t t) {
-  BFDN_REQUIRE(robot >= 0 && robot < num_robots_, "robot index");
-  robot_clock_[static_cast<std::size_t>(robot)] = t;
-}
-
-void ExplorationState::set_clock_base(std::int64_t t) { clock_base_ = t; }
 
 bool ExplorationState::is_explored(NodeId v) const {
   BFDN_REQUIRE(v >= 0 && v < tree_.num_nodes(), "node id");

@@ -44,21 +44,6 @@ class ExplorationState {
   NodeId robot_pos(std::int32_t robot) const;
   void set_robot_pos(std::int32_t robot, NodeId v);
 
-  // --- per-robot virtual clocks ----------------------------------------
-  /// Number of activations this robot has received so far. Under the
-  /// synchronous model every robot's clock equals the round counter; an
-  /// AsyncScheduler makes them diverge. Clocks are *derived* scheduling
-  /// metadata, not observable exploration state, so they do NOT enter
-  /// state_hash(): two executions reaching the same configuration at
-  /// different robot speeds hash equal.
-  std::int64_t robot_clock(std::int32_t robot) const;
-  /// Sets one robot's clock (async engine, per activation slot).
-  void set_robot_clock(std::int32_t robot, std::int64_t t);
-  /// Sets every robot's clock at once, O(1) (sync/fast-forward engines:
-  /// all clocks tick together). A later set_robot_clock overrides the
-  /// base for that robot only.
-  void set_clock_base(std::int64_t t);
-
   // --- explored / dangling bookkeeping --------------------------------
   bool is_explored(NodeId v) const;
   /// Number of incident child edges of u not yet traversed (dangling,
@@ -123,11 +108,6 @@ class ExplorationState {
   const Tree& tree_;
   std::int32_t num_robots_;
   std::vector<NodeId> robot_pos_;
-  // Per-robot virtual clocks. robot_clock(i) = max(clock_base_,
-  // robot_clock_[i]); the base lets the synchronous engines advance all
-  // k clocks in O(1) per round.
-  std::vector<std::int64_t> robot_clock_;
-  std::int64_t clock_base_ = 0;
   std::vector<char> explored_;
   // Dangling pool, CSR-shaped: slots [dangling_offset_[u],
   // dangling_offset_[u] + dangling_count_[u]) hold u's unreserved
@@ -167,12 +147,6 @@ class ExplorationView {
   NodeId root() const { return state_.tree().root(); }
   NodeId robot_pos(std::int32_t robot) const {
     return state_.robot_pos(robot);
-  }
-  /// This robot's virtual clock: how many activations it has received.
-  /// Synchronously all clocks agree with the round counter; see
-  /// docs/MODEL.md "Per-robot clocks".
-  std::int64_t robot_clock(std::int32_t robot) const {
-    return state_.robot_clock(robot);
   }
   /// Whether the adversary allows this robot to move this round
   /// (always true outside the break-down setting of Section 4.2).

@@ -112,8 +112,8 @@ BfdnRunOutcome run_bfdn(const Tree& tree, const OracleConfig& config,
   return outcome;
 }
 
-/// Observer that records nothing; its presence forces the stepped
-/// engine paths (sync loop, async stepped sub-mode) without otherwise
+/// Observer that records nothing; its presence turns walk planning off
+/// (every due robot selects at every activation) without otherwise
 /// perturbing the run.
 class NullObserver : public RoundObserver {
  public:
@@ -320,8 +320,8 @@ OracleReport run_oracle(const Tree& tree, const OracleConfig& config) {
   }
 
   // --- fast-forward vs stepped engine (differential) ------------------
-  // The primary run above is stepped (its observer forces the stepped
-  // loop); re-running with fast-forward enabled and no hooks must
+  // The primary run above is stepped (its observer turns walk planning
+  // off); re-running with fast-forward enabled and no hooks must
   // reproduce every field of its RunResult. Skipped under break-down
   // schedules, where fast-forward disables itself and the comparison
   // would be vacuous.
@@ -345,52 +345,65 @@ OracleReport run_oracle(const Tree& tree, const OracleConfig& config) {
   // model, and the engine promises it reproduces the synchronous run
   // bit-identically in both sub-modes: the stepped one (observer forces
   // it; compared hash-by-hash against the primary run) and the
-  // plan-batched one (no hooks). An exotic AsyncSpec additionally pits
-  // the two sub-modes against each other and requires the run to still
-  // finish the job. Skipped under break-downs, which are mutually
-  // exclusive with async scheduling.
+  // plan-batched one (no hooks). Round-robin declares lockstep() and so
+  // rides the synchronous path; a period-1 fixed-rate scheduler also
+  // activates every robot at every tick without declaring it, which
+  // pins the per-activation path (walks replayed one step per
+  // activation) against the same primary run. An exotic AsyncSpec
+  // additionally pits the two sub-modes against each other and
+  // requires the run to still finish the job. Skipped under
+  // break-downs, which are mutually exclusive with async scheduling.
   if (!breakdown) {
     RoundRobinScheduler round_robin;
-    {
-      BfdnAlgorithm algorithm(k, config.bfdn);
-      std::vector<std::uint64_t> hashes;
-      CollectingObserver observer(hashes);
-      RunConfig run_config;
-      run_config.num_robots = k;
-      run_config.max_rounds = config.max_rounds;
-      run_config.async = &round_robin;
-      run_config.check_invariants = true;
-      run_config.observer = &observer;
-      try {
-        const RunResult rr = run_exploration(tree, algorithm, run_config);
-        if (hashes != primary.hashes) {
-          const std::size_t common =
-              std::min(hashes.size(), primary.hashes.size());
-          std::size_t r = 0;
-          while (r < common && hashes[r] == primary.hashes[r]) ++r;
-          fail(OracleCheck::kAsyncEquivalence,
-               str_format("round-robin async and sync hash sequences "
-                          "diverge at round %zu (%zu vs %zu rounds total)",
-                          r + 1, hashes.size(), primary.hashes.size()));
+    FixedRateScheduler every_tick(k, /*period=*/1, /*num_slow=*/0);
+    for (AsyncScheduler* scheduler :
+         {static_cast<AsyncScheduler*>(&round_robin),
+          static_cast<AsyncScheduler*>(&every_tick)}) {
+      const std::string name = scheduler->name();
+      {
+        BfdnAlgorithm algorithm(k, config.bfdn);
+        std::vector<std::uint64_t> hashes;
+        CollectingObserver observer(hashes);
+        RunConfig run_config;
+        run_config.num_robots = k;
+        run_config.max_rounds = config.max_rounds;
+        run_config.async = scheduler;
+        run_config.check_invariants = true;
+        run_config.observer = &observer;
+        try {
+          const RunResult rr = run_exploration(tree, algorithm, run_config);
+          if (hashes != primary.hashes) {
+            const std::size_t common =
+                std::min(hashes.size(), primary.hashes.size());
+            std::size_t r = 0;
+            while (r < common && hashes[r] == primary.hashes[r]) ++r;
+            fail(OracleCheck::kAsyncEquivalence,
+                 str_format("%s async and sync hash sequences diverge at "
+                            "round %zu (%zu vs %zu rounds total)",
+                            name.c_str(), r + 1, hashes.size(),
+                            primary.hashes.size()));
+          }
+          compare_run_results(rr, primary.result,
+                              (name + " async").c_str(),
+                              OracleCheck::kAsyncEquivalence, report);
+        } catch (const CheckError& error) {
+          fail(OracleCheck::kEngineInvariant, error.what());
         }
-        compare_run_results(rr, primary.result, "round-robin async",
-                            OracleCheck::kAsyncEquivalence, report);
-      } catch (const CheckError& error) {
-        fail(OracleCheck::kEngineInvariant, error.what());
       }
-    }
-    {
-      BfdnAlgorithm algorithm(k, config.bfdn);
-      RunConfig run_config;
-      run_config.num_robots = k;
-      run_config.max_rounds = config.max_rounds;
-      run_config.async = &round_robin;
-      try {
-        const RunResult rr = run_exploration(tree, algorithm, run_config);
-        compare_run_results(rr, primary.result, "batched round-robin async",
-                            OracleCheck::kAsyncEquivalence, report);
-      } catch (const CheckError& error) {
-        fail(OracleCheck::kEngineInvariant, error.what());
+      {
+        BfdnAlgorithm algorithm(k, config.bfdn);
+        RunConfig run_config;
+        run_config.num_robots = k;
+        run_config.max_rounds = config.max_rounds;
+        run_config.async = scheduler;
+        try {
+          const RunResult rr = run_exploration(tree, algorithm, run_config);
+          compare_run_results(rr, primary.result,
+                              ("batched " + name + " async").c_str(),
+                              OracleCheck::kAsyncEquivalence, report);
+        } catch (const CheckError& error) {
+          fail(OracleCheck::kEngineInvariant, error.what());
+        }
       }
     }
     if (config.async.kind != AsyncKind::kNone &&

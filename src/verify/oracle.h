@@ -71,7 +71,7 @@ enum class OracleCheck : std::uint8_t {
   kBreakdown = 7,        // Prop. 7 work accounting under schedules
   kEngineInvariant = 8,  // a BFDN_CHECK fired inside a run
   kFastForward = 9,      // fast-forward == stepped engine, field by field
-  kAsyncEquivalence = 10,  // round-robin async == sync, bit by bit
+  kAsyncEquivalence = 10,  // every-tick async == sync, bit by bit
   kBatchEquivalence = 11,  // batched campaign member == its solo run
 };
 

@@ -1,13 +1,15 @@
-// Per-robot-clock (async) engine path.
+// Per-robot-clock (async) execution.
 //
-// The event loop in run_async generalizes the synchronous engine: a
+// The engine's event loop generalizes the synchronous round: a
 // pluggable AsyncScheduler decides when each robot activates, robots
 // mid-transit replay their committed walk one step per activation, and
 // an event time is counted as a round iff at least one robot moves at
 // it. These tests pin the contract from docs/MODEL.md:
 //
 //  * round-robin activation reproduces the synchronous engine
-//    bit-exactly (result fields AND the per-round hash sequence);
+//    bit-exactly (result fields AND the per-round hash sequence), and
+//    so does period-1 fixed-rate, which takes the per-activation path,
+//    also under round caps;
 //  * heterogeneous-speed schedules are deterministic and still satisfy
 //    the completion invariants (complete, all home, every edge twice);
 //  * laggard starvation stretches the makespan but never livelocks;
@@ -81,6 +83,7 @@ void expect_same_result(const RunResult& a, const RunResult& b,
   EXPECT_EQ(a.rounds, b.rounds) << what;
   EXPECT_EQ(a.complete, b.complete) << what;
   EXPECT_EQ(a.all_at_root, b.all_at_root) << what;
+  EXPECT_EQ(a.hit_round_limit, b.hit_round_limit) << what;
   EXPECT_EQ(a.edge_events, b.edge_events) << what;
   EXPECT_EQ(a.rounds_with_idle, b.rounds_with_idle) << what;
   EXPECT_EQ(a.idle_robot_rounds, b.idle_robot_rounds) << what;
@@ -122,6 +125,52 @@ TEST(AsyncEngine, RoundRobinMatchesSyncBitExactly) {
   }
 }
 
+TEST(AsyncEngine, RoundCapsLandingMidTransitAgree) {
+  // The caps of FastForward.RoundCapsLandingMidTransitAgree (mid BF
+  // descent, mid DN return climb, exactly at an event round, past
+  // natural termination) under the two every-tick schedulers:
+  // round-robin declares lockstep() and takes the synchronous path,
+  // period-1 fixed-rate does not and replays walks one step per
+  // activation. Both must match the capped synchronous run, limit flag
+  // and per-round hashes included.
+  const Tree tree = make_comb(25, 24);
+  const std::int32_t k = 8;
+  const auto run_capped = [&](AsyncScheduler* async, std::int64_t cap,
+                              HashingObserver* observer) {
+    BfdnAlgorithm algorithm(k, BfdnOptions{});
+    RunConfig config;
+    config.num_robots = k;
+    config.max_rounds = cap;
+    config.async = async;
+    config.observer = observer;
+    return run_exploration(tree, algorithm, config);
+  };
+  const RunResult full = run_with(tree, k, nullptr);
+  RoundRobinScheduler round_robin;
+  FixedRateScheduler every_tick(k, /*period=*/1, /*num_slow=*/0);
+  for (std::int64_t cap :
+       {std::int64_t{1}, std::int64_t{2}, std::int64_t{7},
+        std::int64_t{25}, std::int64_t{26}, std::int64_t{100},
+        std::int64_t{313}, full.rounds, full.rounds + 1,
+        full.rounds + 1000}) {
+    SCOPED_TRACE(testing::Message() << "cap=" << cap);
+    HashingObserver sync_observer;
+    const RunResult sync = run_capped(nullptr, cap, &sync_observer);
+    EXPECT_EQ(sync.hit_round_limit, cap <= full.rounds);
+    for (AsyncScheduler* async :
+         {static_cast<AsyncScheduler*>(&round_robin),
+          static_cast<AsyncScheduler*>(&every_tick)}) {
+      expect_same_result(run_capped(async, cap, nullptr), sync,
+                         async->name());
+      HashingObserver observer;
+      expect_same_result(run_capped(async, cap, &observer), sync,
+                         async->name() + "/observed");
+      EXPECT_EQ(observer.rounds, sync_observer.rounds) << async->name();
+      EXPECT_EQ(observer.hashes, sync_observer.hashes) << async->name();
+    }
+  }
+}
+
 TEST(AsyncEngine, HeterogeneousSchedulesAreDeterministic) {
   for (const AsyncCase& c : grid()) {
     SCOPED_TRACE(c.name);
@@ -152,8 +201,10 @@ TEST(AsyncEngine, RandomSeedSelectsTheInterleaving) {
   const RunResult other = run_with(tree, 4, &b);
   expect_same_result(first, again, "same seed");
   expect_completion_invariants(tree, other, "other seed");
-  EXPECT_NE(first.final_state_hash ^ first.rounds,
-            other.final_state_hash ^ other.rounds)
+  EXPECT_NE(first.final_state_hash ^
+                static_cast<std::uint64_t>(first.rounds),
+            other.final_state_hash ^
+                static_cast<std::uint64_t>(other.rounds))
       << "seeds 17 and 23 happened to coincide; pick another pair";
 }
 

@@ -154,9 +154,16 @@ TEST(ServiceProtocolTest, FingerprintSeparatesSemanticFields) {
   other = base;
   other.recipe.seed += 1;
   EXPECT_NE(request_fingerprint(base), request_fingerprint(other));
-  other = base;
-  other.fast_forward = false;
-  EXPECT_NE(request_fingerprint(base), request_fingerprint(other));
+}
+
+TEST(ServiceProtocolTest, FingerprintIgnoresFastForward) {
+  // fast_forward cannot change a result (OracleCheck::kFastForward pins
+  // it) and the result does not echo it: both settings share one key.
+  const ServiceRequest base = golden_request();
+  ServiceRequest stepped = base;
+  stepped.fast_forward = false;
+  EXPECT_EQ(canonical_request(base), canonical_request(stepped));
+  EXPECT_EQ(request_fingerprint(base), request_fingerprint(stepped));
 }
 
 TEST(ServiceProtocolTest, ParseRejectsMalformedRequests) {
@@ -591,6 +598,35 @@ TEST(ServiceEndToEndTest, CacheHitIsByteIdenticalToOriginalMiss) {
   EXPECT_EQ(server.cache_stats().hits, 1);
   EXPECT_EQ(server.cache_stats().misses, 1);
   // The hit never touched the scheduler.
+  EXPECT_EQ(server.scheduler_stats().admitted, 1);
+  server.drain();
+}
+
+TEST(ServiceEndToEndTest, FastForwardOffHitsTheDefaultRequestsEntry) {
+  ServiceServer server(server_options(2, 16, 16));
+  server.start();
+
+  Socket socket = connect_local(server.port(), /*recv_timeout_ms=*/30000);
+  ServiceRequest stepped = golden_request();
+  stepped.fast_forward = false;
+  const std::string default_line = serialize_request(golden_request()) + "\n";
+  const std::string stepped_line = serialize_request(stepped) + "\n";
+  ASSERT_NE(stepped_line.find("\"fast_forward\":false"), std::string::npos);
+  ASSERT_TRUE(socket.send_all(default_line));
+  const auto miss = socket.recv_line();
+  ASSERT_TRUE(miss.has_value());
+  ASSERT_TRUE(socket.send_all(stepped_line));
+  const auto hit = socket.recv_line();
+  ASSERT_TRUE(hit.has_value());
+
+  EXPECT_NE(miss->find("\"cached\":false"), std::string::npos);
+  ASSERT_NE(hit->find("\"cached\":true"), std::string::npos);
+  std::string normalized = *hit;
+  normalized.replace(normalized.find("\"cached\":true"),
+                     std::string("\"cached\":true").size(),
+                     "\"cached\":false");
+  EXPECT_EQ(normalized, *miss);
+  EXPECT_EQ(server.cache_stats().hits, 1);
   EXPECT_EQ(server.scheduler_stats().admitted, 1);
   server.drain();
 }

@@ -72,6 +72,10 @@ int run(int argc, const char* const* argv) {
   options.fanout_threads =
       static_cast<std::int32_t>(cli.get_int("fanout-threads"));
 
+  // Handlers go in before the port is bound: a supervisor may signal
+  // the moment --port-file appears, and that must drain, not kill.
+  std::signal(SIGTERM, handle_signal);
+  std::signal(SIGINT, handle_signal);
   RouterServer router(options);
   router.start();
 
@@ -86,8 +90,6 @@ int run(int argc, const char* const* argv) {
                router.port(), options.peers.size());
   std::fflush(stdout);
 
-  std::signal(SIGTERM, handle_signal);
-  std::signal(SIGINT, handle_signal);
   while (g_drain_requested == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }

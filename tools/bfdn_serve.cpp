@@ -97,6 +97,10 @@ int run(int argc, const char* const* argv) {
                  "(peer identity is the port)");
   }
 
+  // Handlers go in before the port is bound: a supervisor may signal
+  // the moment --port-file appears, and that must drain, not kill.
+  std::signal(SIGTERM, handle_signal);
+  std::signal(SIGINT, handle_signal);
   ServiceServer server(options);
   server.start();
 
@@ -110,8 +114,6 @@ int run(int argc, const char* const* argv) {
                server.port());
   std::fflush(stdout);
 
-  std::signal(SIGTERM, handle_signal);
-  std::signal(SIGINT, handle_signal);
   while (g_drain_requested == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
