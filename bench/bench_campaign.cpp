@@ -1,22 +1,34 @@
-// E20 — campaign-throughput bench for the batched multi-run kernel.
+// E20 — campaign-throughput bench for sim/BatchExecutor.
 //
 // Measures aggregate rounds/second of a width-R seed-sweep campaign
-// executed through sim/BatchExecutor on the BENCH_fastforward comb
-// cells (comb(316, 315), k in {1024, 256, 64}, capped at --cap
-// rounds), against the solo loop that runs the same R members as R
-// independent fast-forward engine invocations. The seed sweep is
-// coalescible — BFDN under the least-loaded policy never consumes its
-// seed — so the batch path executes one distinct run and replicates
-// it, which is exactly the shape exp/campaign and the service's
-// campaign requests feed it. Every cell doubles as a differential
-// check: each member's batched RunResult must match its own solo run
-// (rounds + final_state_hash), a divergence is a hard error.
+// executed through sim/BatchExecutor against the solo loop that runs
+// the same R members as R independent engine invocations. Two kinds
+// of cell:
+//   coalesced: the BENCH_fastforward comb cells (comb(316, 315), k in
+//     {1024, 256, 64}, capped at --cap rounds). BFDN under the
+//     least-loaded policy never consumes its seed, so the sweep is
+//     tagged with one coalesce key and the batch executes one distinct
+//     run and replicates it — the shape exp/campaign and the service's
+//     campaign requests feed it.
+//   distinct: a random n=20k tree swept over R seeds under the random
+//     reanchor policy with no coalesce keys, so every member executes
+//     (the random half of perfbench's campaign_sweep). This measures
+//     the executor's own cost of running distinct members.
+// Every cell doubles as a differential check: each member's batched
+// RunResult must match its own solo run (rounds + final_state_hash), a
+// divergence is a hard error.
 //
 // Gates (a failed gate is exit status 1, visible in CI):
-//   full mode:  aggregate rounds/s >= 5x the frozen BENCH_fastforward
-//               ff_rounds_per_sec of the matching comb cell;
-//   --smoke:    aggregate rounds/s >= 3x the solo loop measured
-//               in-process on one small cell (machine-independent).
+//   coalesced, full mode: aggregate rounds/s >= 5x the frozen
+//               BENCH_fastforward ff_rounds_per_sec of the matching
+//               comb cell;
+//   coalesced, --smoke:   aggregate rounds/s >= 3x the solo loop
+//               measured in-process on one small cell;
+//   distinct, both modes: aggregate rounds/s >= 0.8x the solo loop
+//               measured in-process (best of at least 3 alternating
+//               repetitions). Members executed one after another pass
+//               at ~1x; interleaving R live runs event by event falls
+//               below it.
 // Output is one JSON document on stdout (BENCH_campaign.json).
 #include <chrono>
 #include <cstdio>
@@ -29,6 +41,7 @@
 #include "sim/engine.h"
 #include "support/cli.h"
 #include "support/json.h"
+#include "support/rng.h"
 #include "support/strings.h"
 
 namespace bfdn {
@@ -41,9 +54,21 @@ struct Config {
   std::int64_t cap;  // 0 = run to completion
   /// Frozen ff_rounds_per_sec of the matching BENCH_fastforward comb
   /// cell; 0 means "no frozen baseline, gate against the measured solo
-  /// loop" (smoke mode).
+  /// loop".
   double frozen_solo_rps;
+  double gate_factor;
+  /// Random reanchor policy and no coalesce keys: every member runs.
+  bool distinct = false;
 };
+
+constexpr double kDistinctGate = 0.8;
+constexpr std::int64_t kDistinctMinRepeat = 3;
+
+Config distinct_cell() {
+  Rng rng(20);
+  return {"random", make_random_leafy(20000, 5, rng), 8, 0, 0.0,
+          kDistinctGate, true};
+}
 
 RunConfig member_config(const Config& config) {
   RunConfig run_config;
@@ -53,8 +78,9 @@ RunConfig member_config(const Config& config) {
   return run_config;
 }
 
-BfdnOptions member_options(std::int64_t seed) {
+BfdnOptions member_options(const Config& config, std::int64_t seed) {
   BfdnOptions options;  // least-loaded policy: seed-blind by design
+  if (config.distinct) options.policy = ReanchorPolicy::kRandom;
   options.seed = static_cast<std::uint64_t>(seed);
   return options;
 }
@@ -64,74 +90,84 @@ int run(int argc, const char* const* argv) {
                 "aggregate rounds/sec of a width-R seed-sweep campaign "
                 "through the batch executor vs R independent solo runs");
   cli.add_int("cap", 20000, "max rounds per cell");
-  cli.add_int("width", 8, "campaign members per cell (R)");
+  cli.add_int("width", 8, "campaign members per coalesced cell (R)");
   cli.add_int("repeat", 1, "timed repetitions per cell (best is kept)");
   cli.add_bool("smoke", false,
-               "single small cell, gated against the in-process solo "
-               "loop instead of the frozen baseline (CI)");
+               "one small coalesced cell plus the distinct cell, both "
+               "gated against the in-process solo loop (CI)");
   if (!cli.parse(argc, argv)) return 0;
   const std::int64_t cap = cli.get_int("cap");
-  const std::int64_t width = std::max<std::int64_t>(1,
-                                                    cli.get_int("width"));
+  const std::int64_t coalesced_width =
+      std::max<std::int64_t>(1, cli.get_int("width"));
+  // The random half of perfbench's campaign_sweep: 16 distinct runs.
+  const std::int64_t distinct_width = 16;
   const std::int64_t repeat = std::max<std::int64_t>(1,
                                                      cli.get_int("repeat"));
 
   std::vector<Config> configs;
-  double gate_factor = 5.0;
   if (cli.get_bool("smoke")) {
-    configs.push_back({"comb", make_comb(100, 99), 256, 2000, 0.0});
-    gate_factor = 3.0;
+    configs.push_back({"comb", make_comb(100, 99), 256, 2000, 0.0, 3.0});
   } else {
     // The BENCH_fastforward comb cells with their frozen
-    // ff_rounds_per_sec (the solo fast-forward engine's throughput on
-    // the reference machine — see BENCH_fastforward.json).
-    configs.push_back({"comb", make_comb(316, 315), 1024, cap, 77691.0});
-    configs.push_back({"comb", make_comb(316, 315), 256, cap, 222181.3});
-    configs.push_back({"comb", make_comb(316, 315), 64, cap, 639052.6});
+    // ff_rounds_per_sec: the solo fast-forward engine's throughput as
+    // first recorded on the reference machine, kept fixed when
+    // BENCH_fastforward.json is regenerated.
+    configs.push_back(
+        {"comb", make_comb(316, 315), 1024, cap, 77691.0, 5.0});
+    configs.push_back(
+        {"comb", make_comb(316, 315), 256, cap, 222181.3, 5.0});
+    configs.push_back(
+        {"comb", make_comb(316, 315), 64, cap, 639052.6, 5.0});
   }
+  configs.push_back(distinct_cell());
 
   int status = 0;
   std::printf("{\n  \"bench\": \"campaign\",\n  \"cells\": [\n");
   bool first = true;
   for (const Config& config : configs) {
-    // Solo loop: the same R members as R independent engine runs.
-    // Timed even in full mode so the JSON records the machine's own
-    // solo throughput next to the frozen baseline.
+    // Solo loop (the same R members as R independent engine runs) and
+    // batched campaign (one BatchExecutor; a coalesced cell tags
+    // its sweep with one key per (algo, k) — the shape the scheduler's
+    // batch_coalesce_key produces for these members), alternated per
+    // repetition, best of each kept. The solo loop is timed even in
+    // full mode so the JSON records the machine's own solo throughput
+    // next to the frozen baseline.
+    const std::int64_t width =
+        config.distinct ? distinct_width : coalesced_width;
+    const std::int64_t reps =
+        config.distinct ? std::max(repeat, kDistinctMinRepeat) : repeat;
     std::vector<RunResult> solo(static_cast<std::size_t>(width));
+    std::vector<RunResult> batched;
     double solo_seconds = 0;
-    for (std::int64_t rep = 0; rep < repeat; ++rep) {
-      const auto start = std::chrono::steady_clock::now();
+    double batch_seconds = 0;
+    BatchExecutor::Stats batch_stats;
+    for (std::int64_t rep = 0; rep < reps; ++rep) {
+      auto start = std::chrono::steady_clock::now();
       for (std::int64_t i = 0; i < width; ++i) {
-        BfdnAlgorithm algorithm(config.k, member_options(i + 1));
+        BfdnAlgorithm algorithm(config.k, member_options(config, i + 1));
         solo[static_cast<std::size_t>(i)] =
             run_exploration(config.tree, algorithm, member_config(config));
       }
-      const auto stop = std::chrono::steady_clock::now();
-      const double seconds =
-          std::chrono::duration<double>(stop - start).count();
+      double seconds = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
       if (rep == 0 || seconds < solo_seconds) solo_seconds = seconds;
-    }
 
-    // Batched campaign: one BatchExecutor pass, seed sweep tagged with
-    // one coalesce key per (algo, k) — the shape the scheduler's
-    // batch_coalesce_key produces for these members.
-    std::vector<RunResult> batched;
-    double batch_seconds = 0;
-    BatchExecutor::Stats batch_stats;
-    for (std::int64_t rep = 0; rep < repeat; ++rep) {
-      const auto start = std::chrono::steady_clock::now();
+      start = std::chrono::steady_clock::now();
       BatchExecutor batch(config.tree);
       for (std::int64_t i = 0; i < width; ++i) {
         batch.add_member(
             std::make_unique<BfdnAlgorithm>(config.k,
-                                            member_options(i + 1)),
+                                            member_options(config, i + 1)),
             member_config(config),
-            str_format("bfdn-least-loaded-k%d", config.k));
+            config.distinct
+                ? std::string()
+                : str_format("bfdn-least-loaded-k%d", config.k));
       }
       std::vector<RunResult> results = batch.run();
-      const auto stop = std::chrono::steady_clock::now();
-      const double seconds =
-          std::chrono::duration<double>(stop - start).count();
+      seconds = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
       if (rep == 0 || seconds < batch_seconds) {
         batch_seconds = seconds;
         batch_stats = batch.stats();
@@ -167,13 +203,13 @@ int run(int argc, const char* const* argv) {
         solo_seconds > 0 ? static_cast<double>(total_rounds) /
                                solo_seconds
                          : 0.0;
-    // Full mode gates against the frozen solo baseline (the recorded
-    // reference-machine number the issue names); smoke mode against
-    // the solo loop just measured, so the CI gate tracks the machine
-    // it runs on.
+    // Coalesced cells in full mode gate against the frozen solo
+    // baseline (the recorded reference-machine number); every other
+    // cell against the solo loop just measured, so the gate tracks the
+    // machine it runs on.
     const double gate_baseline =
         config.frozen_solo_rps > 0 ? config.frozen_solo_rps : solo_rps;
-    const double gate_rps = gate_factor * gate_baseline;
+    const double gate_rps = config.gate_factor * gate_baseline;
     const bool pass = batch_rps >= gate_rps;
     if (!pass) {
       std::fprintf(stderr,
@@ -181,7 +217,7 @@ int run(int argc, const char* const* argv) {
                    "%.1f aggregate rounds/s < %.1fx baseline %.1f\n",
                    config.family.c_str(),
                    static_cast<long long>(config.tree.num_nodes()),
-                   config.k, batch_rps, gate_factor, gate_baseline);
+                   config.k, batch_rps, config.gate_factor, gate_baseline);
       status = 1;
     }
 
@@ -190,6 +226,7 @@ int run(int argc, const char* const* argv) {
     cell.kv("family", config.family);
     cell.kv("n", config.tree.num_nodes());
     cell.kv("k", config.k);
+    cell.kv("policy", config.distinct ? "random" : "least-loaded");
     cell.kv("width", width);
     cell.kv("distinct_runs", batch_stats.distinct_runs);
     cell.kv("coalesced", batch_stats.coalesced);
@@ -203,7 +240,8 @@ int run(int argc, const char* const* argv) {
     }
     cell.kv("speedup_vs_gate_baseline",
             gate_baseline > 0 ? batch_rps / gate_baseline : 0.0, 2);
-    cell.kv("gate_factor", gate_factor, 1);
+    cell.kv("reps", reps);
+    cell.kv("gate_factor", config.gate_factor, 1);
     cell.kv("pass", pass);
     cell.end_object();
     std::printf("%s    %s", first ? "" : ",\n", cell.str().c_str());

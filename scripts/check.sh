@@ -161,7 +161,7 @@ echo "== batch fuzz smoke: every case batch-equivalence checked =="
 echo "== bench smoke: fast-forward vs stepped, one Release cell =="
 ./build/bench/bench_hotpath --smoke > /dev/null
 
-echo "== bench smoke: batched campaign >= 3x solo loop, one cell =="
+echo "== bench smoke: coalesced campaign >= 3x, distinct members >= 0.8x solo =="
 ./build/bench/bench_campaign --smoke > /dev/null
 
 echo "== bench smoke: async scheduler zoo vs lockstep, one cell =="

@@ -103,8 +103,8 @@ std::vector<CellResult> Campaign::run(std::int32_t threads) const {
     base += cells_per_tree;
     const Instance* inst = &instance;
     // One task per tree: all of the tree's cells run through a single
-    // BatchExecutor pass, sharing the tree's arrays while each member
-    // keeps its own run state. Slot order within the block matches the
+    // BatchExecutor, one after another over the shared tree, each
+    // member with its own run state. Slot order within the block matches the
     // add_member order (k-major, then algorithm), so results land in
     // the same deterministic cell order as before.
     pool.submit([this, out, inst] {

@@ -251,6 +251,11 @@ bool parse_request(const std::string& line, ServiceRequest& out,
           doc.get_uint("schedule_seed", out.schedule.seed);
       out.schedule.period = doc.get_int("period", out.schedule.period);
       if (out.schedule.period < 1) return fail("period must be >= 1");
+      // BFDN-ℓ assumes every robot moves each round; a blocked robot
+      // trips its progress invariant inside the engine.
+      if (out.algo.kind == AlgoKind::kBfdnEll) {
+        return fail("bfdn-ell is not defined under a break-down schedule");
+      }
     }
 
     if (!parse_async_kind(doc.get_string("async", "none"),

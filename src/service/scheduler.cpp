@@ -227,7 +227,7 @@ void Scheduler::run_job(const std::shared_ptr<Job>& job,
 void Scheduler::run_batch(const std::vector<std::shared_ptr<Job>>& jobs,
                           const std::shared_ptr<const Tree>& tree) {
   // Every payload is produced before any job is finished: if anything
-  // in the batched pass throws (a member rejected by the executor, an
+  // in the batch throws (a member rejected by the executor, an
   // engine invariant), no job has been completed yet and the whole
   // group falls back to solo execution, which reports per-job errors.
   std::vector<std::string> payloads;

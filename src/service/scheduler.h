@@ -9,13 +9,13 @@
 // built once per group and shared read-only), and shards execution over
 // a support/thread_pool. Within a group, the jobs that describe
 // synchronous complete-communication runs (no break-down schedule, no
-// async scheduler) execute through one sim/BatchExecutor pass —
-// interleaved over the shared tree, seed-blind twins coalesced — while
-// schedule/async jobs fan out to the pool solo. Determinism: each job
-// builds its own algorithm and RNG state from its own spec, so
-// grouping, pool scheduling and batch interleaving cannot change any
+// async scheduler) execute through one sim/BatchExecutor —
+// seed-blind twins coalesced, distinct runs one after another on one
+// worker — while schedule/async jobs fan out to the pool solo.
+// Determinism: each job builds its own algorithm and RNG state from its
+// own spec, so grouping, pool scheduling and batching cannot change any
 // job's result — a served run is bit-identical to the same run through
-// bfdn_cli (tests/service_test.cpp pins this, and the batch pass is
+// bfdn_cli (tests/service_test.cpp pins this, and the batch path is
 // additionally pinned by OracleCheck::kBatchEquivalence).
 #pragma once
 

@@ -1,8 +1,7 @@
 #include "sim/batch_executor.h"
 
-#include <algorithm>
+#include <map>
 
-#include "sim/engine_internal.h"
 #include "support/check.h"
 
 namespace bfdn {
@@ -11,9 +10,6 @@ struct BatchExecutor::Member {
   std::unique_ptr<Algorithm> algorithm;
   RunConfig config;
   std::string coalesce_key;
-  // Index of the earlier member whose run this one replicates, or -1
-  // when the member executes itself.
-  std::int32_t coalesce_with = -1;
 };
 
 BatchExecutor::BatchExecutor(const Tree& tree) : tree_(tree) {}
@@ -46,72 +42,22 @@ std::vector<RunResult> BatchExecutor::run() {
   const std::size_t n = members_.size();
   stats_.members = static_cast<std::int64_t>(n);
   std::vector<RunResult> results(n);
-
-  // Coalescing: first member of each non-empty key executes; later
-  // twins replicate its result below.
+  // The first member of each non-empty key executes; its later twins
+  // copy the result. Everything else runs to completion in member
+  // order, one live run state at a time.
+  std::map<std::string, std::size_t> first_with_key;
   for (std::size_t i = 0; i < n; ++i) {
-    if (members_[i].coalesce_key.empty()) continue;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (members_[j].coalesce_key == members_[i].coalesce_key) {
-        members_[i].coalesce_with =
-            members_[j].coalesce_with >= 0
-                ? members_[j].coalesce_with
-                : static_cast<std::int32_t>(j);
-        break;
+    const Member& member = members_[i];
+    if (!member.coalesce_key.empty()) {
+      const auto [it, first] = first_with_key.emplace(member.coalesce_key, i);
+      if (!first) {
+        ++stats_.coalesced;
+        results[i] = results[it->second];
+        continue;
       }
-    }
-  }
-
-  // Partition the executing members: the interleaved pass takes
-  // exactly the runs that plan committed walks; the rest (per-round
-  // hooks, fast_forward off, step-only algorithms) run solo first, in
-  // member order, so their per-round hooks observe rounds in a
-  // deterministic order.
-  std::vector<std::unique_ptr<engine_internal::RunContext>> runs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    Member& member = members_[i];
-    if (member.coalesce_with >= 0) {
-      ++stats_.coalesced;
-      continue;
     }
     ++stats_.distinct_runs;
-    if (!engine_internal::plans_walks(*member.algorithm, member.config)) {
-      ++stats_.stepped_fallback;
-      results[i] = run_exploration(tree_, *member.algorithm, member.config);
-      continue;
-    }
-    ++stats_.interleaved;
-    runs[i] = std::make_unique<engine_internal::RunContext>(
-        tree_, *member.algorithm, member.config);
-  }
-
-  // The interleaved pass: always advance the run whose next selection
-  // event is earliest (ties: lowest member index), so all runs move
-  // through the tree's depth range together. Each advance() processes
-  // one event round of one independent context; the schedule between
-  // contexts is irrelevant to any of their results.
-  for (;;) {
-    std::size_t next = n;
-    std::int64_t best_round = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (runs[i] == nullptr) continue;
-      const std::int64_t round = runs[i]->next_event_round();
-      if (next == n || round < best_round) {
-        next = i;
-        best_round = round;
-      }
-    }
-    if (next == n) break;
-    if (!runs[next]->advance()) {
-      results[next] = runs[next]->finish();
-      runs[next].reset();
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (members_[i].coalesce_with >= 0) {
-      results[i] =
-          results[static_cast<std::size_t>(members_[i].coalesce_with)];
-    }
+    results[i] = run_exploration(tree_, *member.algorithm, member.config);
   }
   return results;
 }

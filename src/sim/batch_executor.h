@@ -1,32 +1,22 @@
-// Vectorized multi-run campaign executor: runs R explorations of one
-// shared tree (seed sweeps, k sweeps, option sweeps) in a single
-// interleaved pass instead of R independent engine invocations.
+// Campaign executor: runs R explorations of one shared tree (seed
+// sweeps, k sweeps, option sweeps) behind one call, coalescing members
+// that provably describe the same run.
 //
-// Structure of arrays: every member run owns its per-run state
-// (ExplorationState position/frontier arrays, activation calendar,
-// RunResult) while the tree's CSR arrays — the large read-only data —
-// are shared by all of them. run() advances the member whose next
-// selection event is earliest (ties broken by member index), so all
-// runs sweep the tree's depth range roughly in lockstep and the tree
-// data a run touches is the data its neighbors just touched — one
-// cache-friendly pass over the shared structure per exploration phase
-// rather than R cold passes.
-//
-// Bit-identity is structural, not approximated: each member executes
-// through engine_internal::RunContext, the one run context
-// run_exploration drives, and a member's observable behavior depends
-// only on its own state — so any interleaving reproduces the solo
-// engine run for run (pinned by OracleCheck::kBatchEquivalence and
-// tests/batch_executor_test.cpp).
-//
-// Only members that plan committed walks (engine_internal::plans_walks)
-// interleave; a member with per-round hooks (observer / trace /
-// check_invariants), fast_forward off or a step-only algorithm runs
-// through run_exploration inside run(), in member order, before the
-// interleaved pass. Members with a
-// break-down schedule, reactive adversary or async scheduler are
-// rejected at add_member — those execution models are per-run by
-// construction and belong to run_exploration.
+// Each distinct member runs to completion through run_exploration, in
+// member order, so only one run's mutable state (ExplorationState,
+// algorithm arrays, RunResult) is live at a time while the tree's CSR
+// arrays are shared by all of them. Results are bit-identical to solo
+// runs because they are solo runs (pinned by
+// OracleCheck::kBatchEquivalence and tests/batch_executor_test.cpp),
+// and per-round hooks (observer / trace / check_invariants) see each
+// member's rounds whole, one member after another. Running members one
+// after another is measured, not assumed: interleaving R live runs
+// event by event ran bench_campaign's 16-member n=20k distinct cell at
+// 0.58-0.62x the solo loop, where back to back runs at ~1x (each live
+// run's state, not the shared tree, fills the cache; docs/MODEL.md).
+// Members with a break-down schedule, reactive adversary or async
+// scheduler are rejected at add_member — those execution models belong
+// to run_exploration.
 //
 // Coalescing: members whose inputs provably describe the same run
 // (e.g. a BFDN seed sweep under any non-random reanchor policy — the
@@ -79,10 +69,6 @@ class BatchExecutor {
     std::int64_t members = 0;        // add_member calls
     std::int64_t distinct_runs = 0;  // actually executed
     std::int64_t coalesced = 0;      // members served by a twin's run
-    std::int64_t interleaved = 0;    // distinct runs in the batched pass
-    std::int64_t stepped_fallback = 0;  // distinct runs via the solo
-                                        // engine (per-round hooks or a
-                                        // step-only algorithm)
   };
   /// Populated by run().
   const Stats& stats() const { return stats_; }

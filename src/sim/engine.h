@@ -7,7 +7,7 @@
 // decision loop, including exclusive reservation of dangling edges —
 // Claim 2 holds by construction); (2) all selected moves execute
 // synchronously and the partially explored tree is updated. Every run
-// executes through one event loop (engine_internal::RunContext) that
+// executes through one event loop (RunContext, engine.cpp) that
 // processes the robots due at each event time as such a round.
 #pragma once
 

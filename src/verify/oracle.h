@@ -41,8 +41,8 @@
 //    distance of 2n/k + D^2(log k + 3) (Proposition 7 contrapositive).
 //  * Every member of a batched campaign (sim/batch_executor) reproduces
 //    its solo engine run bit-exactly — full RunResult, final-state
-//    digest, and (through the stepped-fallback member that carries an
-//    observer) the per-round hash sequence — including members that the
+//    digest, and (through a member that carries an observer) the
+//    per-round hash sequence — including members that the
 //    executor coalesced as seed-blind twins, each of which is compared
 //    against its own independently executed solo run (skipped under
 //    break-down schedules, whose members the executor rejects).

@@ -1,9 +1,9 @@
 // Differential tests for sim/BatchExecutor: every batched member must
 // be bit-identical to running it alone through run_exploration — the
 // executor's one contract — across algorithm kinds, team sizes, seeds,
-// mid-batch round caps, coalesced seed-blind twins and the stepped
-// fallback, plus the misuse guards (schedule/reactive/async members,
-// reuse after run()).
+// mid-batch round caps, coalesced seed-blind twins and members with
+// per-round hooks, plus the misuse guards (schedule/reactive/async
+// members, reuse after run()).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -150,11 +150,7 @@ TEST(BatchExecutorTest, GoldenGridBatchedEqualsSolo) {
     const auto& stats = batch.stats();
     EXPECT_EQ(stats.members, static_cast<std::int64_t>(labels.size()));
     EXPECT_EQ(stats.distinct_runs, stats.members);  // no coalesce keys
-    EXPECT_EQ(stats.interleaved + stats.stepped_fallback,
-              stats.distinct_runs);
-    // The BFDN members are fast-forwardable, so the interleaved pass is
-    // genuinely exercised.
-    EXPECT_GT(stats.interleaved, 0) << tree_name;
+    EXPECT_EQ(stats.coalesced, 0) << tree_name;
   }
 }
 
@@ -170,7 +166,9 @@ TEST(BatchExecutorTest, WidthOneEqualsSolo) {
   BfdnAlgorithm solo(6);
   expect_same_result(results[0], run_exploration(tree, solo, config),
                      "width-1");
-  EXPECT_EQ(batch.stats().interleaved, 1);
+  EXPECT_EQ(batch.stats().members, 1);
+  EXPECT_EQ(batch.stats().distinct_runs, 1);
+  EXPECT_EQ(batch.stats().coalesced, 0);
 }
 
 // Round caps are per member: a batch mixing members that hit their
@@ -199,9 +197,8 @@ TEST(BatchExecutorTest, MidBatchRoundCapParity) {
   EXPECT_FALSE(results[3].hit_round_limit);
 }
 
-// Results come back in add_member order no matter how the interleaving
-// schedules the runs; reversing the add order permutes the results the
-// same way.
+// Results come back in add_member order; reversing the add order
+// permutes the results the same way.
 TEST(BatchExecutorTest, DeterministicMemberOrdering) {
   const Tree tree = make_comb(25, 5);
   const std::vector<std::int32_t> team_sizes = {5, 1, 3, 8, 2};
@@ -256,22 +253,23 @@ TEST(BatchExecutorTest, CoalescedSeedSweepMatchesSoloRuns) {
   EXPECT_EQ(stats.coalesced, 5);
 }
 
-// A member carrying per-round hooks rides the documented stepped
-// fallback: its observer sees the same per-round hash sequence a solo
-// stepped run produces.
+class HashObserver : public RoundObserver {
+ public:
+  explicit HashObserver(std::vector<std::uint64_t>& out) : out_(out) {}
+  void on_round(std::int64_t /*round*/,
+                const ExplorationState& state) override {
+    out_.push_back(state.state_hash());
+  }
+
+ private:
+  std::vector<std::uint64_t>& out_;
+};
+
+// A member carrying per-round hooks runs the engine's stepped path (no
+// walk planning): its observer sees the same per-round hash sequence a
+// solo run produces, and a hook-free sibling still matches its own
+// solo run.
 TEST(BatchExecutorTest, ObserverMemberRidesSteppedFallback) {
-  class HashObserver : public RoundObserver {
-   public:
-    explicit HashObserver(std::vector<std::uint64_t>& out) : out_(out) {}
-    void on_round(std::int64_t /*round*/,
-                  const ExplorationState& state) override {
-      out_.push_back(state.state_hash());
-    }
-
-   private:
-    std::vector<std::uint64_t>& out_;
-  };
-
   const Tree tree = make_comb(20, 4);
   RunConfig solo_config;
   solo_config.num_robots = 3;
@@ -288,17 +286,76 @@ TEST(BatchExecutorTest, ObserverMemberRidesSteppedFallback) {
   hooked_config.num_robots = 3;
   hooked_config.observer = &batched_observer;
   batch.add_member(std::make_unique<BfdnAlgorithm>(3), hooked_config);
-  // A hook-free sibling keeps the interleaved pass busy alongside.
   RunConfig plain_config;
   plain_config.num_robots = 3;
   batch.add_member(std::make_unique<BfdnAlgorithm>(3), plain_config);
 
   const std::vector<RunResult> results = batch.run();
   expect_same_result(results[0], solo_result, "observed member");
-  expect_same_result(results[1], solo_result, "interleaved sibling");
+  expect_same_result(results[1], solo_result, "hook-free sibling");
   EXPECT_EQ(batched_hashes, solo_hashes);
-  EXPECT_EQ(batch.stats().stepped_fallback, 1);
-  EXPECT_EQ(batch.stats().interleaved, 1);
+  EXPECT_EQ(batch.stats().distinct_runs, 2);
+  EXPECT_EQ(batch.stats().coalesced, 0);
+}
+
+// Two observer-carrying members: each on_round stream arrives whole
+// and in member order — every round of member 0 before any round of
+// member 1 — and equals that member's solo stream.
+TEST(BatchExecutorTest, ObserverStreamsArriveWholeInMemberOrder) {
+  class TaggedObserver : public RoundObserver {
+   public:
+    TaggedObserver(std::int32_t tag,
+                   std::vector<std::pair<std::int32_t, std::uint64_t>>& out)
+        : tag_(tag), out_(out) {}
+    void on_round(std::int64_t /*round*/,
+                  const ExplorationState& state) override {
+      out_.emplace_back(tag_, state.state_hash());
+    }
+
+   private:
+    std::int32_t tag_;
+    std::vector<std::pair<std::int32_t, std::uint64_t>>& out_;
+  };
+
+  const Tree tree = make_spider(6, 9);
+  const std::vector<std::int32_t> team_sizes = {4, 2};
+  std::vector<std::vector<std::uint64_t>> solo_streams;
+  for (const std::int32_t k : team_sizes) {
+    std::vector<std::uint64_t> hashes;
+    HashObserver observer(hashes);
+    RunConfig config;
+    config.num_robots = k;
+    config.observer = &observer;
+    BfdnAlgorithm solo(k);
+    (void)run_exploration(tree, solo, config);
+    solo_streams.push_back(std::move(hashes));
+  }
+
+  std::vector<std::pair<std::int32_t, std::uint64_t>> events;
+  TaggedObserver first(0, events);
+  TaggedObserver second(1, events);
+  BatchExecutor batch(tree);
+  RunConfig config0;
+  config0.num_robots = team_sizes[0];
+  config0.observer = &first;
+  batch.add_member(std::make_unique<BfdnAlgorithm>(team_sizes[0]), config0);
+  RunConfig config1;
+  config1.num_robots = team_sizes[1];
+  config1.observer = &second;
+  batch.add_member(std::make_unique<BfdnAlgorithm>(team_sizes[1]), config1);
+  (void)batch.run();
+
+  ASSERT_FALSE(solo_streams[0].empty());
+  ASSERT_FALSE(solo_streams[1].empty());
+  ASSERT_EQ(events.size(), solo_streams[0].size() + solo_streams[1].size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const bool in_first = i < solo_streams[0].size();
+    EXPECT_EQ(events[i].first, in_first ? 0 : 1) << "event " << i;
+    const std::uint64_t expected =
+        in_first ? solo_streams[0][i]
+                 : solo_streams[1][i - solo_streams[0].size()];
+    EXPECT_EQ(events[i].second, expected) << "event " << i;
+  }
 }
 
 TEST(BatchExecutorTest, RejectsScheduleReactiveAndAsyncMembers) {

@@ -139,6 +139,25 @@ TEST(ServiceProtocolTest, ParseRejectsAsyncCombinedWithSchedule) {
       out, &error));
 }
 
+// BFDN-ℓ under a break-down schedule is rejected at parse time rather
+// than failing inside the engine and being served as an invariant error.
+TEST(ServiceProtocolTest, ParseRejectsEllCombinedWithSchedule) {
+  ServiceRequest out;
+  for (const char* algo : {"ell2", "ell3", "bfdn-ell"}) {
+    std::string error;
+    EXPECT_FALSE(parse_request(
+        std::string("{\"type\":\"run\",\"algo\":\"") + algo +
+            "\",\"k\":8,\"schedule\":\"burst\",\"horizon\":100}",
+        out, &error))
+        << algo;
+    EXPECT_NE(error.find("break-down schedule"), std::string::npos) << algo;
+  }
+  std::string error;
+  EXPECT_TRUE(parse_request("{\"type\":\"run\",\"algo\":\"ell2\",\"k\":8}",
+                            out, &error))
+      << error;
+}
+
 TEST(ServiceProtocolTest, FingerprintIgnoresRequestId) {
   ServiceRequest a = golden_request();
   ServiceRequest b = golden_request();

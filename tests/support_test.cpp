@@ -27,6 +27,29 @@ TEST(CheckTest, RequireThrowsWithMessage) {
   }
 }
 
+// Check failures name their source relative to src/ (the bare file
+// name outside it), never by an absolute build path: the text reaches
+// clients as served error bytes and must not differ between builds.
+TEST(CheckTest, FailureTextNamesNoAbsolutePath) {
+  Rng rng(1);
+  try {
+    (void)rng.next_below(0);
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(" at support/rng.cpp:"), std::string::npos) << what;
+    EXPECT_EQ(what.find(" at /"), std::string::npos) << what;
+  }
+  try {
+    BFDN_CHECK(1 + 1 == 3, "a check outside the library");
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(" at support_test.cpp:"), std::string::npos) << what;
+    EXPECT_EQ(what.find('/'), std::string::npos) << what;
+  }
+}
+
 TEST(CheckTest, PassingCheckDoesNotThrow) {
   EXPECT_NO_THROW(BFDN_CHECK(2 + 2 == 4));
 }
