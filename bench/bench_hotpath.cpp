@@ -65,16 +65,22 @@ int run(int argc, const char* const* argv) {
   cli.add_int("repeat", 1, "timed repetitions per cell (best is kept)");
   cli.add_bool("large", false, "add the n ~ 1e6 cells (slower)");
   cli.add_bool("smoke", false,
-               "single small cell only (CI: exercises the fast-forward "
+               "two small cells only (CI: exercises the fast-forward "
                "path in Release and checks it against stepped)");
   if (!cli.parse(argc, argv)) return 0;
   const std::int64_t cap = cli.get_int("cap");
   const std::int64_t repeat = std::max<std::int64_t>(1,
                                                      cli.get_int("repeat"));
 
+  // cold_explore's deepest shape (n = 20k, spine 5000, k = 8) run to
+  // completion: thousands of committed walks by endpoint, long BF
+  // descents and return climbs on a D = 5000 tree.
+  const Config cold_caterpillar{"caterpillar", make_caterpillar(5000, 3), 8,
+                                0};
   std::vector<Config> configs;
   if (cli.get_bool("smoke")) {
     configs.push_back({"comb", make_comb(100, 99), 256, 2000});
+    configs.push_back(cold_caterpillar);
   } else {
     // comb: deep + thin, dominated by outbound navigation and per-depth
     // frontier maintenance. spine*(tooth+1) ~ 1e5.
@@ -89,6 +95,7 @@ int run(int argc, const char* const* argv) {
                        cap});
     configs.push_back({"caterpillar", make_caterpillar(25000, 3), 64,
                        cap});
+    configs.push_back(cold_caterpillar);
     // star: maximal single-node frontier; stresses the dangling-edge
     // reservation pool and the per-round selector setup.
     configs.push_back({"star", make_star(100001), 1024, 0});

@@ -158,7 +158,7 @@ echo "== batch fuzz smoke: every case batch-equivalence checked =="
 ./build/tools/bfdn_fuzz --budget-s=10 --seed=3 --jobs="$(nproc)" \
   --batch-p=1.0
 
-echo "== bench smoke: fast-forward vs stepped, one Release cell =="
+echo "== bench smoke: fast-forward vs stepped, comb + cold caterpillar cells =="
 ./build/bench/bench_hotpath --smoke > /dev/null
 
 echo "== bench smoke: coalesced campaign >= 3x, distinct members >= 0.8x solo =="

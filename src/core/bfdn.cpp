@@ -259,22 +259,14 @@ void BfdnAlgorithm::plan_transit(const ExplorationView& view,
     return;
   }
   if (modes_[idx] == Mode::kOutbound) {
-    const NodeId anchor = anchors_[idx];
-    if (!view.is_ancestor_or_self(pos, anchor)) {
-      plan.kind = TransitPlan::Kind::kEvent;  // shortcut-only climb;
-      return;                                 // unreachable (step-only)
-    }
     // Procedure BF, whole descent: the root -> anchor path is committed
     // at reanchor time and consists of explored edges only, so no
     // concurrent discovery can change any step of it. Arrival at the
     // anchor (possibly zero steps away) is the event: the first DN
-    // decision reads the anchor's live dangling state.
+    // decision reads the anchor's live dangling state. (Only the
+    // step-only shortcut ablation is ever outbound off that path.)
     plan.kind = TransitPlan::Kind::kWalk;
-    const auto from = static_cast<std::size_t>(view.depth(pos)) + 1;
-    const auto to = static_cast<std::size_t>(view.depth(anchor));
-    for (std::size_t d = from; d <= to; ++d) {
-      plan.path.push_back(paths_[idx][d]);
-    }
+    plan.target = anchors_[idx];
     return;
   }
   // Procedure DN. A node with an unexplored child edge means the next
@@ -292,11 +284,10 @@ void BfdnAlgorithm::plan_transit(const ExplorationView& view,
   // round running the real try_take_dangling, which falls back to
   // another up-move if the edges are gone.
   plan.kind = TransitPlan::Kind::kWalk;
-  NodeId cur = pos;
-  while (cur != view.root()) {
-    cur = view.parent(cur);
-    plan.path.push_back(cur);
-    if (view.has_unexplored_child_edge(cur)) break;
+  plan.target = view.parent(pos);
+  while (plan.target != view.root() &&
+         !view.has_unexplored_child_edge(plan.target)) {
+    plan.target = view.parent(plan.target);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 
 #include "support/check.h"
 #include "support/strings.h"
@@ -11,15 +12,17 @@ namespace bfdn {
 MoveSelector::MoveSelector(ExplorationState& state,
                            const std::vector<char>& movable)
     : state_(state), movable_(movable) {
-  pending_.assign(static_cast<std::size_t>(state.num_robots()), Pending{});
+  const auto k = static_cast<std::size_t>(state.num_robots());
+  pending_.assign(k, Pending{});
+  reanchor_depths_.reserve(k);
+  reanchor_switch_depths_.reserve(k);
 }
 
 void MoveSelector::reset() {
   std::fill(pending_.begin(), pending_.end(), Pending{});
   reserved_this_round_.clear();
-  std::fill(reanchor_counts_.begin(), reanchor_counts_.end(), 0);
-  std::fill(reanchor_switch_counts_.begin(), reanchor_switch_counts_.end(),
-            0);
+  reanchor_depths_.clear();
+  reanchor_switch_depths_.clear();
 }
 
 void MoveSelector::require_selectable(std::int32_t robot) const {
@@ -89,18 +92,12 @@ void MoveSelector::join_dangling(std::int32_t robot, NodeId token) {
 
 void MoveSelector::note_reanchor(std::int32_t depth) {
   BFDN_REQUIRE(depth >= 0, "negative reanchor depth");
-  const auto d = static_cast<std::size_t>(depth);
-  if (d >= reanchor_counts_.size()) reanchor_counts_.resize(d + 1, 0);
-  ++reanchor_counts_[d];
+  reanchor_depths_.push_back(depth);
 }
 
 void MoveSelector::note_reanchor_switch(std::int32_t depth) {
   BFDN_REQUIRE(depth >= 0, "negative reanchor depth");
-  const auto d = static_cast<std::size_t>(depth);
-  if (d >= reanchor_switch_counts_.size()) {
-    reanchor_switch_counts_.resize(d + 1, 0);
-  }
-  ++reanchor_switch_counts_[d];
+  reanchor_switch_depths_.push_back(depth);
 }
 
 bool MoveSelector::has_selected(std::int32_t robot) const {
@@ -137,13 +134,16 @@ struct EngineAccess {
   static std::vector<MoveSelector::Pending>& pending(MoveSelector& sel) {
     return sel.pending_;
   }
-  static const std::vector<std::uint64_t>& reanchors(
-      const MoveSelector& sel) {
-    return sel.reanchor_counts_;
-  }
-  static const std::vector<std::uint64_t>& reanchor_switches(
-      const MoveSelector& sel) {
-    return sel.reanchor_switch_counts_;
+  /// Flushes this round's reanchor depths into the result histograms.
+  static void flush_reanchors(const MoveSelector& sel, RunResult& result) {
+    for (const std::int32_t depth : sel.reanchor_depths_) {
+      result.reanchors_by_depth.add(depth);
+      ++result.total_reanchors;
+    }
+    for (const std::int32_t depth : sel.reanchor_switch_depths_) {
+      result.reanchor_switches_by_depth.add(depth);
+      ++result.total_reanchor_switches;
+    }
   }
   static const std::vector<std::pair<NodeId, NodeId>>& reservations(
       const MoveSelector& sel) {
@@ -196,28 +196,6 @@ void init_depth_accounting(const Tree& tree, RunResult& result,
   }
 }
 
-/// Flushes the selector's per-depth reanchor counters into the result
-/// histograms.
-void flush_reanchor_counts(const MoveSelector& selector, RunResult& result) {
-  const std::vector<std::uint64_t>& reanchors =
-      EngineAccess::reanchors(selector);
-  for (std::size_t depth = 0; depth < reanchors.size(); ++depth) {
-    if (reanchors[depth] == 0) continue;
-    result.reanchors_by_depth.add(static_cast<std::int64_t>(depth),
-                                  reanchors[depth]);
-    result.total_reanchors += static_cast<std::int64_t>(reanchors[depth]);
-  }
-  const std::vector<std::uint64_t>& switches =
-      EngineAccess::reanchor_switches(selector);
-  for (std::size_t depth = 0; depth < switches.size(); ++depth) {
-    if (switches[depth] == 0) continue;
-    result.reanchor_switches_by_depth.add(static_cast<std::int64_t>(depth),
-                                          switches[depth]);
-    result.total_reanchor_switches +=
-        static_cast<std::int64_t>(switches[depth]);
-  }
-}
-
 /// The MOVE step for one robot's selected move: position update,
 /// first-traversal flags, dangling commit with depth-completion
 /// accounting, per-robot move counter. Returns true iff the robot
@@ -240,8 +218,9 @@ bool apply_pending_move(const Tree& tree, ExplorationState& state,
       ++result.robot_moves[static_cast<std::size_t>(robot)];
       return true;
     case MoveSelector::Kind::kDownExplored:
+      // No edge event: commit_dangling recorded this edge's downward
+      // traversal when the child was explored.
       state.set_robot_pos(robot, p.target);
-      state.record_traversal(p.target, /*downward=*/true);
       ++result.robot_moves[static_cast<std::size_t>(robot)];
       return true;
     case MoveSelector::Kind::kDownDangling:
@@ -255,28 +234,24 @@ bool apply_pending_move(const Tree& tree, ExplorationState& state,
       // else: a joiner; an earlier robot in this round's commit order
       // already explored the edge (group traversal).
       state.set_robot_pos(robot, p.target);
-      state.record_traversal(p.target, /*downward=*/true);
       ++result.robot_moves[static_cast<std::size_t>(robot)];
       return true;
   }
   return false;  // unreachable
 }
 
-/// One step of a committed walk (TransitPlan::kWalk): validates the
-/// step, records the traversal and advances the robot.
-void apply_walk_step(const Tree& tree, ExplorationState& state,
-                     std::int32_t robot, NodeId next, RunResult& result) {
-  const NodeId cur = state.robot_pos(robot);
-  if (cur != tree.root() && next == tree.parent(cur)) {
-    state.record_traversal(cur, /*downward=*/false);
-  } else {
-    BFDN_CHECK(tree.parent(next) == cur && state.is_explored(next),
-               "committed walk step is not an up-move or an "
-               "explored down-move");
-    state.record_traversal(next, /*downward=*/true);
-  }
-  state.set_robot_pos(robot, next);
-  ++result.robot_moves[static_cast<std::size_t>(robot)];
+/// Validates a committed walk (TransitPlan::kWalk) once, in O(1) by
+/// preorder intervals. Returns true for a climb (`target` is an
+/// ancestor of `from`), false for a descent (`target` is an explored
+/// descendant, so every edge on the way is explored).
+bool walk_climbs(const Tree& tree, const ExplorationState& state,
+                 NodeId from, NodeId target) {
+  if (tree.is_ancestor_or_self(target, from)) return true;
+  BFDN_CHECK(tree.is_ancestor_or_self(from, target) &&
+                 state.is_explored(target),
+             "committed walk target is neither an ancestor nor an "
+             "explored descendant of the robot's position");
+  return false;
 }
 
 /// True iff a run may plan committed walks (TransitPlan) instead of
@@ -351,16 +326,15 @@ class RunContext {
   std::vector<std::int64_t> next_;
   std::vector<char> parked_;
   std::int32_t num_parked_ = 0;
-  // Out-of-lockstep walk replay: walk_[i][walk_pos_[i]] is robot i's
-  // next committed step.
+  // Out-of-lockstep walk replay: robot i's remaining committed steps,
+  // the next one last.
   std::vector<std::vector<NodeId>> walk_;
-  std::vector<std::size_t> walk_pos_;
   // Last event time at which each robot was activated and stayed.
   std::vector<std::int64_t> last_stay_;
   std::vector<std::int32_t> due_;        // activated at T, ascending
   std::vector<std::int32_t> selecting_;  // the due robots that select
   std::vector<ReactiveAdversary::ObservedMove> observed_;
-  TransitPlan plan_;  // reused; path keeps its capacity across events
+  TransitPlan plan_;
   bool done_ = false;
   bool finished_ = false;
 };
@@ -390,7 +364,6 @@ RunContext::RunContext(const Tree& tree, Algorithm& algorithm,
       next_(static_cast<std::size_t>(k_), 1),
       parked_(static_cast<std::size_t>(k_), 0),
       walk_(static_cast<std::size_t>(k_)),
-      walk_pos_(static_cast<std::size_t>(k_), 0),
       last_stay_(static_cast<std::size_t>(k_), -1) {
   result_.robot_moves.assign(static_cast<std::size_t>(k_), 0);
   init_depth_accounting(tree, result_, unexplored_at_depth_);
@@ -420,7 +393,7 @@ bool RunContext::stop() {
 }
 
 bool RunContext::walking(std::size_t robot) const {
-  return walk_pos_[robot] < walk_[robot].size();
+  return !walk_[robot].empty();
 }
 
 bool RunContext::stable() const {
@@ -508,7 +481,15 @@ bool RunContext::advance() {
     if (scheduler_ != nullptr && parked_[s]) {
       ++idle;
     } else if (scheduler_ != nullptr && walking(s)) {
-      apply_walk_step(tree_, state_, i, walk_[s][walk_pos_[s]++], result_);
+      // The next step of a validated walk. A down-step is no edge event:
+      // commit_dangling recorded every explored edge's downward traversal.
+      const NodeId cur = state_.robot_pos(i);
+      if (walk_[s].back() == tree_.parent(cur)) {
+        state_.record_traversal(cur, /*downward=*/false);
+      }
+      state_.set_robot_pos(i, walk_[s].back());
+      walk_[s].pop_back();
+      ++result_.robot_moves[s];
       ++moves;
     } else if (apply_pending_move(tree_, state_, i, pending[s],
                                   unexplored_at_depth_, result_, t)) {
@@ -542,7 +523,7 @@ bool RunContext::advance() {
         ++result_.rounds_with_idle;
         result_.idle_robot_rounds += idle;
       }
-      flush_reanchor_counts(selector_, result_);
+      EngineAccess::flush_reanchors(selector_, result_);
       if (config_.trace != nullptr) {
         TraceFrame frame;
         frame.round = t;
@@ -614,28 +595,57 @@ void RunContext::plan(std::int64_t t) {
   for (const std::int32_t i : selecting_) {
     const auto s = static_cast<std::size_t>(i);
     plan_.kind = TransitPlan::Kind::kEvent;
-    plan_.path.clear();
+    plan_.target = kInvalidNode;
     algorithm_.plan_transit(view_, i, plan_);
     if (plan_.kind == TransitPlan::Kind::kStayForever) {
       parked_[s] = 1;
       ++num_parked_;
       if (scheduler_ == nullptr) next_[s] = max_rounds_ + 1;
-    } else if (plan_.kind == TransitPlan::Kind::kWalk) {
-      if (scheduler_ != nullptr) {
-        walk_[s].swap(plan_.path);
-        walk_pos_[s] = 0;
-        continue;
-      }
-      // Lockstep: execute the walk now; its steps occupy rounds
-      // t + 1 .. t + len, and a walk capped by the limit never wakes.
-      const auto full_len = static_cast<std::int64_t>(plan_.path.size());
-      const std::int64_t len = std::min(full_len, max_rounds_ - t);
-      for (std::int64_t step = 0; step < len; ++step) {
-        apply_walk_step(tree_, state_, i,
-                        plan_.path[static_cast<std::size_t>(step)], result_);
-      }
-      next_[s] = len < full_len ? max_rounds_ + 1 : t + len + 1;
+      continue;
     }
+    if (plan_.kind != TransitPlan::Kind::kWalk) continue;
+    const NodeId from = state_.robot_pos(i);
+    const NodeId target = plan_.target;
+    const bool climb = walk_climbs(tree_, state_, from, target);
+    if (scheduler_ != nullptr) {
+      // Out of lockstep the walk is replayed one step per activation.
+      std::vector<NodeId>& steps = walk_[s];
+      steps.clear();
+      if (climb) {
+        for (NodeId cur = from; cur != target;) {
+          cur = tree_.parent(cur);
+          steps.push_back(cur);
+        }
+        std::reverse(steps.begin(), steps.end());
+      } else {
+        for (NodeId cur = target; cur != from; cur = tree_.parent(cur)) {
+          steps.push_back(cur);
+        }
+      }
+      continue;
+    }
+    // Lockstep: execute the walk now; its steps occupy rounds t + 1 ..
+    // t + len, and a walk capped by the limit ends len steps along the
+    // way and never wakes.
+    const std::int64_t full_len =
+        std::abs(tree_.depth(target) - tree_.depth(from));
+    const std::int64_t len = std::min(full_len, max_rounds_ - t);
+    NodeId end = target;
+    if (climb) {
+      end = from;
+      for (std::int64_t step = 0; step < len; ++step) {
+        state_.record_traversal(end, /*downward=*/false);
+        end = tree_.parent(end);
+      }
+    } else {
+      // A descent is no edge event (see commit_dangling).
+      for (std::int64_t step = len; step < full_len; ++step) {
+        end = tree_.parent(end);
+      }
+    }
+    state_.set_robot_pos(i, end);
+    result_.robot_moves[s] += len;
+    next_[s] = len < full_len ? max_rounds_ + 1 : t + len + 1;
   }
 }
 

@@ -90,8 +90,8 @@ class MoveSelector {
  public:
   MoveSelector(ExplorationState& state, const std::vector<char>& movable);
 
-  /// Clears all selections, reservations and reanchor counts for the
-  /// next round, keeping buffer capacity.
+  /// Clears all selections, reservations and reanchor tallies for the
+  /// next round, keeping buffer capacity. O(k), whatever the tree depth.
   void reset();
 
   /// Robot stays put (the paper's ⊥).
@@ -148,10 +148,11 @@ class MoveSelector {
   std::vector<Pending> pending_;
   // token -> node it hangs off, for join validation.
   std::vector<std::pair<NodeId, NodeId>> reserved_this_round_;
-  // Reanchor counts indexed by depth (flat: note_reanchor must stay
-  // allocation-free once warmed up to the deepest anchor seen).
-  std::vector<std::uint64_t> reanchor_counts_;
-  std::vector<std::uint64_t> reanchor_switch_counts_;
+  // This round's reanchor depths, one entry per note_reanchor /
+  // note_reanchor_switch call. A robot reanchors at most once per
+  // round, so both lists are reserved to k and never reallocate.
+  std::vector<std::int32_t> reanchor_depths_;
+  std::vector<std::int32_t> reanchor_switch_depths_;
 };
 
 /// Whether an algorithm can expose per-robot committed transit segments
@@ -181,10 +182,13 @@ enum class ActivationGranularity : std::uint8_t {
 /// robot's move in an event round:
 ///  - kEvent: the robot's very next selection depends on shared state
 ///    (it may reanchor, take a dangling edge, ...); wake it next round.
-///  - kWalk: the robot will deterministically traverse `path` (one node
-///    per round, each step an up-move to the parent or a down-move along
-///    an already-explored edge), then needs a fresh selection on the
-///    round after arrival. An empty path is equivalent to kEvent.
+///  - kWalk: the robot will deterministically walk the tree path to
+///    `target`, one edge per round, then needs a fresh selection on the
+///    round after arrival. The target is an ancestor of the robot's
+///    position (a climb of up-moves) or an explored descendant (a
+///    descent along explored edges); the engine rejects any other
+///    target with a CheckError. A target equal to the position is
+///    equivalent to kEvent.
 ///  - kStayForever: the robot selects stay (the paper's ⊥) in every
 ///    remaining round of the run, no matter how the state evolves.
 /// The contract is that round-by-round selection would produce
@@ -193,7 +197,7 @@ enum class ActivationGranularity : std::uint8_t {
 struct TransitPlan {
   enum class Kind : std::uint8_t { kEvent, kWalk, kStayForever };
   Kind kind = Kind::kEvent;
-  std::vector<NodeId> path;  // kWalk only; nodes visited, in order
+  NodeId target = kInvalidNode;  // kWalk only; where the walk ends
 };
 
 /// A collaborative exploration algorithm in the complete-communication

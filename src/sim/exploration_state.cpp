@@ -120,6 +120,7 @@ void ExplorationState::commit_dangling(NodeId u, NodeId child) {
 
   explored_[static_cast<std::size_t>(child)] = 1;
   ++num_explored_;
+  record_traversal(child, /*downward=*/true);
   // The child's pool slice is pristine (a node is committed exactly
   // once), so arming its dangling edges is a counter write.
   const std::int32_t kids = tree_.num_children(child);

@@ -58,7 +58,9 @@ class ExplorationState {
   /// Returns a reserved edge to the pool (robot was blocked).
   void release_dangling(NodeId u, NodeId child);
   /// Commits a reserved edge: the robot moved through it; the child
-  /// becomes explored and its own child edges become dangling.
+  /// becomes explored, its own child edges become dangling, and the
+  /// downward traversal is recorded. So every explored edge has been
+  /// traversed downward, and a later move down it is no edge event.
   void commit_dangling(NodeId u, NodeId child);
 
   // --- open nodes (adjacent to >= 1 unexplored edge) -------------------

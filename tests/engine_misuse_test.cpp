@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
+#include <vector>
 
 #include "graph/generators.h"
 #include "sim/engine.h"
@@ -119,6 +121,98 @@ TEST(EngineMisuseTest, ViewRejectsQueriesOnUnexploredNodes) {
     (void)sel;
     (void)view.depth(3);  // node 3 not explored yet
   });
+  EXPECT_THROW(run_exploration(tree, algo, one_robot()), CheckError);
+}
+
+/// Committed-segments stub: every robot takes a dangling edge if it
+/// can and climbs otherwise, then plans a walk to whatever `target`
+/// returns for its post-move position.
+class WalkStub : public Algorithm {
+ public:
+  using Target = std::function<NodeId(const ExplorationView&, NodeId)>;
+  explicit WalkStub(Target target) : target_(std::move(target)) {}
+  std::string name() const override { return "walk-stub"; }
+  void select_moves(const ExplorationView& view,
+                    MoveSelector& selector) override {
+    std::vector<std::int32_t> all;
+    for (std::int32_t i = 0; i < view.num_robots(); ++i) all.push_back(i);
+    select_moves_subset(view, selector, all);
+  }
+  void select_moves_subset(const ExplorationView&, MoveSelector& selector,
+                           const std::vector<std::int32_t>& robots) override {
+    for (const std::int32_t i : robots) {
+      if (selector.try_take_dangling(i) == kInvalidNode) selector.move_up(i);
+    }
+  }
+  TransitCapability transit_capability() const override {
+    return TransitCapability::kCommittedSegments;
+  }
+  void plan_transit(const ExplorationView& view, std::int32_t robot,
+                    TransitPlan& plan) override {
+    const NodeId pos = view.robot_pos(robot);
+    if (pos == view.root()) return;  // kEvent
+    plan.kind = TransitPlan::Kind::kWalk;
+    plan.target = target_(view, pos);
+  }
+
+ private:
+  Target target_;
+};
+
+/// The run must fail on the engine's walk validation itself, not on a
+/// later symptom of a robot standing where it cannot be.
+void expect_walk_rejected(const Tree& tree, Algorithm& algo,
+                          const RunConfig& config) {
+  try {
+    run_exploration(tree, algo, config);
+    ADD_FAILURE() << "illegal committed walk accepted";
+  } catch (const CheckError& error) {
+    EXPECT_NE(std::string(error.what()).find("committed walk target"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(EngineMisuseTest, WalkToAncestorAccepted) {
+  // Control for the rejections below: a walk back to the root is a
+  // legal climb, and the stub then explores the whole star.
+  const Tree tree = make_star(5);
+  WalkStub algo([](const ExplorationView& view, NodeId) {
+    return view.root();
+  });
+  RunConfig config;
+  config.num_robots = 2;
+  const RunResult result = run_exploration(tree, algo, config);
+  EXPECT_TRUE(result.complete);
+  EXPECT_TRUE(result.all_at_root);
+}
+
+TEST(EngineMisuseTest, WalkToUnexploredDescendantRejected) {
+  // path(4) is 0-1-2-3: from node 1, node 3 is a descendant the robots
+  // have not explored yet.
+  const Tree tree = make_path(4);
+  WalkStub algo([](const ExplorationView&, NodeId) { return NodeId{3}; });
+  expect_walk_rejected(tree, algo, one_robot());
+}
+
+TEST(EngineMisuseTest, WalkToExploredNonRelativeRejected) {
+  // Two robots explore two leaves of a star in round 1; each then names
+  // the other's leaf, which is explored but neither an ancestor nor a
+  // descendant of its own position.
+  const Tree tree = make_star(4);
+  RunConfig config;
+  config.num_robots = 2;
+  WalkStub algo([](const ExplorationView& view, NodeId pos) {
+    const NodeId other = view.robot_pos(0) == pos ? view.robot_pos(1)
+                                                  : view.robot_pos(0);
+    return other;
+  });
+  expect_walk_rejected(tree, algo, config);
+}
+
+TEST(EngineMisuseTest, WalkToInvalidNodeRejected) {
+  const Tree tree = make_path(3);
+  WalkStub algo([](const ExplorationView&, NodeId) { return kInvalidNode; });
   EXPECT_THROW(run_exploration(tree, algo, one_robot()), CheckError);
 }
 

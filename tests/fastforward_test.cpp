@@ -226,6 +226,136 @@ TEST(FastForward, RoundCapsLandingMidTransitAgree) {
   }
 }
 
+/// Round caps that cut a long committed walk: in a stepped run (the
+/// observer forces stepping), the first round after which some robot
+/// that has made at least `min_descent` consecutive BF moves down
+/// already-explored edges (or `min_climb` consecutive up-moves) moves
+/// that way again. A cap there ends the run in the middle of that walk.
+struct WalkCuts {
+  std::int64_t descent = -1;
+  std::int64_t climb = -1;
+};
+
+WalkCuts find_walk_cuts(const Tree& tree, std::int32_t k,
+                        const AsyncSpec& async, std::int64_t min_descent,
+                        std::int64_t min_climb) {
+  class Probe : public RoundObserver {
+   public:
+    Probe(const Tree& tree, std::int32_t k, std::int64_t min_descent,
+          std::int64_t min_climb)
+        : tree_(tree),
+          min_descent_(min_descent),
+          min_climb_(min_climb),
+          pos_(static_cast<std::size_t>(k), tree.root()),
+          kind_(static_cast<std::size_t>(k), 0),
+          run_(static_cast<std::size_t>(k), 0),
+          last_move_(static_cast<std::size_t>(k), 0),
+          explored_at_(static_cast<std::size_t>(tree.num_nodes()), -1) {
+      explored_at_[static_cast<std::size_t>(tree.root())] = 0;
+    }
+    void on_round(std::int64_t round,
+                  const ExplorationState& state) override {
+      for (std::size_t i = 0; i < pos_.size(); ++i) {
+        const NodeId now = state.robot_pos(static_cast<std::int32_t>(i));
+        const NodeId before = pos_[i];
+        if (now == before) continue;
+        // 1 = up, 2 = BF down an explored edge, 0 = anything else.
+        int kind = 0;
+        if (now == tree_.parent(before)) {
+          kind = 1;
+        } else if (explored_at_[static_cast<std::size_t>(now)] >= 0) {
+          kind = 2;
+        }
+        run_[i] = kind != 0 && kind == kind_[i] ? run_[i] + 1 : 1;
+        kind_[i] = kind;
+        std::int64_t& cut = kind == 1 ? cuts.climb : cuts.descent;
+        const std::int64_t min_steps = kind == 1 ? min_climb_ : min_descent_;
+        if (kind != 0 && run_[i] > min_steps && cut < 0) {
+          cut = last_move_[i];
+        }
+        last_move_[i] = round;
+        pos_[i] = now;
+      }
+      for (const NodeId p : pos_) {
+        auto& at = explored_at_[static_cast<std::size_t>(p)];
+        if (at < 0) at = round;
+      }
+    }
+    WalkCuts cuts;
+
+   private:
+    const Tree& tree_;
+    const std::int64_t min_descent_;
+    const std::int64_t min_climb_;
+    std::vector<NodeId> pos_;
+    std::vector<int> kind_;
+    std::vector<std::int64_t> run_;
+    std::vector<std::int64_t> last_move_;
+    std::vector<std::int64_t> explored_at_;
+  };
+  BfdnAlgorithm algorithm(k);
+  const std::unique_ptr<AsyncScheduler> scheduler = async.make(k);
+  Probe probe(tree, k, min_descent, min_climb);
+  RunConfig config;
+  config.num_robots = k;
+  config.async = scheduler.get();
+  config.observer = &probe;
+  run_exploration(tree, algorithm, config);
+  return probe.cuts;
+}
+
+TEST(FastForward, RoundCapsCuttingLongWalksAgree) {
+  // Deep trees (D >= 1000): caps that land inside a long BF descent and
+  // inside a long return climb, where fast-forward ends a committed walk
+  // part-way, must leave the run exactly where stepping does — rounds,
+  // per-robot moves, both reanchor histograms and the final state
+  // (whose hash digests every robot position).
+  AsyncSpec fixed_rate;
+  fixed_rate.kind = AsyncKind::kFixedRate;
+  fixed_rate.period = 2;
+  fixed_rate.num_slow = 2;
+  // On the caterpillar one robot runs down the spine, taking legs on
+  // its way back up, while the others shuttle between the root and the
+  // shallow legs: there its walks are tens of steps, not hundreds.
+  const struct {
+    const char* name;
+    Tree tree;
+    std::int32_t k;
+    std::int64_t min_descent;
+    std::int64_t min_climb;
+  } cases[] = {{"path1500", make_path(1500), 3, 200, 200},
+               {"caterpillar1200x2", make_caterpillar(1200, 2), 8, 20, 20}};
+  for (const auto& c : cases) {
+    ASSERT_GE(c.tree.depth(), 1000);
+    for (const AsyncSpec& async : {AsyncSpec{}, fixed_rate}) {
+      SCOPED_TRACE(testing::Message() << c.name << " " << async.label());
+      const WalkCuts cuts =
+          find_walk_cuts(c.tree, c.k, async, c.min_descent, c.min_climb);
+      ASSERT_GT(cuts.descent, 0) << "no long BF descent to cut";
+      ASSERT_GT(cuts.climb, 0) << "no long return climb to cut";
+      for (const std::int64_t cap :
+           {cuts.descent, cuts.descent + 1, cuts.climb, cuts.climb + 1}) {
+        SCOPED_TRACE(testing::Message() << "cap=" << cap);
+        const auto run = [&](bool fast_forward) {
+          BfdnAlgorithm algorithm(c.k);
+          const std::unique_ptr<AsyncScheduler> scheduler =
+              async.make(c.k);
+          RunConfig config;
+          config.num_robots = c.k;
+          config.max_rounds = cap;
+          config.async = scheduler.get();
+          config.fast_forward = fast_forward;
+          return run_exploration(c.tree, algorithm, config);
+        };
+        const RunResult ff = run(true);
+        EXPECT_TRUE(ff.hit_round_limit);
+        EXPECT_GT(ff.total_reanchor_switches, 0);
+        expect_equal_runs(ff, run(false));
+      }
+    }
+  }
+}
+
 TEST(FastForward, ObserverForcesSteppedBitExactRounds) {
   // With an observer attached the engine must step even when
   // fast_forward is requested: the per-round hash sequences of a

@@ -14,6 +14,7 @@
 #include "core/bfdn.h"
 #include "graph/generators.h"
 #include "sim/engine.h"
+#include "support/rng.h"
 
 namespace {
 
@@ -93,6 +94,40 @@ TEST(HotpathAlloc, DeeperRunSameAllocationOrder) {
   const std::int64_t a1 = allocations_for_run(shallow, 8);
   const std::int64_t a2 = allocations_for_run(deep, 8);
   EXPECT_LT(a2 - a1, 8 * (deep.depth() - shallow.depth()) + 256);
+}
+
+TEST(HotpathAlloc, DeepTreeReanchorTalliesStayFlat) {
+  // A random n = 8000 tree of depth 1000, on which BFDN (k = 16)
+  // reanchors at over a hundred distinct depths across ~16k rounds. The
+  // engine tallies each round's reanchors in lists reserved to k, so
+  // what remains per depth is the state's open-depth bucket and one
+  // histogram node per distinct reanchor (and switch) depth; everything
+  // else is a small constant, however deep the tree and however many
+  // events the run takes.
+  Rng rng(4);
+  const Tree tree = make_tree_with_depth(8000, 1000, rng);
+  ASSERT_GE(tree.depth(), 1000);
+  BfdnAlgorithm algorithm(16);
+  RunConfig config;
+  config.num_robots = 16;
+  RunResult result;
+  std::int64_t allocations = 0;
+  {
+    CountingScope scope;
+    result = run_exploration(tree, algorithm, config);
+    allocations = scope.count();
+  }
+  ASSERT_TRUE(result.complete);
+  const auto reanchor_depths =
+      static_cast<std::int64_t>(result.reanchors_by_depth.buckets().size());
+  const auto switch_depths = static_cast<std::int64_t>(
+      result.reanchor_switches_by_depth.buckets().size());
+  ASSERT_GT(reanchor_depths, 100);
+  const std::int64_t per_depth =
+      (tree.depth() + 1) + reanchor_depths + switch_depths;
+  EXPECT_LT(allocations - per_depth, 512)
+      << "allocations=" << allocations << " per_depth=" << per_depth
+      << " rounds=" << result.rounds;
 }
 
 }  // namespace
