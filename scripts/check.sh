@@ -190,6 +190,14 @@ done
   --require-hit-rate=0.5 > /dev/null
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"   # graceful drain must exit 0
+# Every answer (the load's stats probe included) is counted once under
+# its envelope status, and the load sent no malformed line.
+grep '^{' build/serve.out | tail -n 1 | python3 -c '
+import json, sys
+r = json.load(sys.stdin)["requests"]
+sys.exit(r["total"] != r["ok"] + r["retry"] + r["error"]
+         or r["protocol_errors"] != 0)' \
+  || { echo "bfdn_serve final stats: unbalanced requests counters"; exit 1; }
 
 echo "== readiness smoke: SIGTERM as soon as the port file appears =="
 # A supervisor may signal the moment --port-file is written; each

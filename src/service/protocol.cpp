@@ -602,6 +602,16 @@ std::string stats_response(const std::string& id,
   return w.str();
 }
 
+std::string extract_status(const std::string& response) {
+  static constexpr char kNeedle[] = "\"status\":\"";
+  const std::size_t pos = response.find(kNeedle);
+  if (pos == std::string::npos) return "";
+  const std::size_t start = pos + sizeof(kNeedle) - 1;
+  const std::size_t end = response.find('"', start);
+  if (end == std::string::npos) return "";
+  return response.substr(start, end - start);
+}
+
 std::string compact_response(const std::string& id,
                              const CompactSummary& summary) {
   JsonWriter w;

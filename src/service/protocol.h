@@ -159,6 +159,10 @@ std::string error_response(const std::string& id,
                            const std::string& message);
 std::string stats_response(const std::string& id,
                            const std::string& stats_json);
+/// The envelope's "status" value ("ok", "retry", "error"; "" when
+/// absent), read without parsing the whole response: the result object
+/// may be large, the envelope prefix is tiny.
+std::string extract_status(const std::string& response);
 
 /// Response to the `compact` admin request: the store rewrite summary
 /// (fields mirror ResultStore::CompactResult).

@@ -316,8 +316,18 @@ TEST(RouterTest, ShardRequestReportsOwners) {
   EXPECT_NE(from_shard.find("\"status\":\"error\""), std::string::npos);
 }
 
+/// The stats document's "requests" block, parsed.
+JsonValue request_counters(const std::string& stats_json) {
+  JsonValue stats;
+  std::string error;
+  EXPECT_TRUE(json_parse(stats_json, stats, &error)) << error;
+  return stats.at("requests");
+}
+
 TEST(RouterTest, PeerStatsFansOut) {
-  Fleet fleet(2);
+  ServerOptions shard_options;
+  shard_options.max_nodes = 1000;
+  Fleet fleet(2, RouterOptions{}, shard_options);
   raw_call(fleet.router->port(),
            serialize_request(run_request("warm", 31)));
   JsonValue doc;
@@ -333,6 +343,35 @@ TEST(RouterTest, PeerStatsFansOut) {
     EXPECT_TRUE(peers.at(i).at("stats").is_object());
     // Every shard's stats carries the cluster identity block.
     EXPECT_TRUE(peers.at(i).at("stats").has("cluster"));
+  }
+
+  // Once every call has returned, each daemon has counted each answer
+  // once under its envelope status — the shards' answers to the stats
+  // probes above included. The mix adds a cache hit, a campaign, a
+  // stats request, a malformed line and a tree the shards refuse.
+  ServiceRequest campaign = run_request("camp", 32);
+  campaign.type = RequestType::kCampaign;
+  campaign.campaign_ks = {2, 4};
+  ServiceRequest huge = run_request("huge", 33);
+  huge.recipe.nodes = 100000;
+  for (const std::string& line :
+       {serialize_request(run_request("warm", 31)),
+        serialize_request(campaign), std::string("{\"type\":\"stats\"}"),
+        std::string("{not json"), serialize_request(huge)}) {
+    raw_call(fleet.router->port(), line);
+  }
+  const JsonValue routed = request_counters(fleet.router->stats_json());
+  EXPECT_EQ(routed.get_int("total", -1), 7);
+  EXPECT_EQ(routed.get_int("ok", -1), 5);
+  EXPECT_EQ(routed.get_int("retry", -1), 0);
+  EXPECT_EQ(routed.get_int("error", -1), 2);
+  EXPECT_EQ(routed.get_int("protocol_errors", -1), 1);
+  for (const auto& shard : fleet.shards) {
+    const JsonValue counted = request_counters(shard->stats_json());
+    EXPECT_EQ(counted.get_int("total", -1),
+              counted.get_int("ok", 0) + counted.get_int("retry", 0) +
+                  counted.get_int("error", 0));
+    EXPECT_EQ(counted.get_int("protocol_errors", -1), 0);
   }
 }
 

@@ -17,6 +17,7 @@
 #include "service/server.h"
 #include "sim/engine.h"
 #include "support/check.h"
+#include "support/json.h"
 #include "support/socket.h"
 #include "support/strings.h"
 #include "verify/spec.h"
@@ -752,7 +753,7 @@ TEST(ServiceEndToEndTest, OversizedAndMalformedRequestsAreRejected) {
 }
 
 TEST(ServiceEndToEndTest, StatsRequestReportsQueueAndCache) {
-  ServiceServer server(server_options(2, 7, 16));
+  ServiceServer server(server_options(2, 7, 16, 20, /*max_nodes=*/1000));
   server.start();
   ServiceClient client(server.port());
   ASSERT_EQ(client.run(golden_request()).get_string("status", ""), "ok");
@@ -766,6 +767,31 @@ TEST(ServiceEndToEndTest, StatsRequestReportsQueueAndCache) {
   EXPECT_EQ(stats.at("cache").get_int("misses", -1), 1);
   EXPECT_EQ(stats.at("jobs").get_int("completed", -1), 1);
   EXPECT_GE(stats.at("latency_us").get_int("count", -1), 1);
+
+  // Every answer is counted once under its envelope status, stats
+  // answers included: two runs, a stats request, a campaign, then a
+  // malformed line and an oversized tree.
+  ServiceRequest campaign = golden_request();
+  campaign.type = RequestType::kCampaign;
+  campaign.campaign_ks = {2, 4};
+  ASSERT_EQ(client.call(serialize_request(campaign)).get_string("status",
+                                                                ""),
+            "ok");
+  EXPECT_EQ(client.call("{not json").get_string("status", ""), "error");
+  ServiceRequest huge = golden_request();
+  huge.recipe.nodes = 100000;
+  EXPECT_EQ(client.call(serialize_request(huge)).get_string("status", ""),
+            "error");
+
+  JsonValue after;
+  std::string error;
+  ASSERT_TRUE(json_parse(server.stats_json(), after, &error)) << error;
+  const JsonValue& requests = after.at("requests");
+  EXPECT_EQ(requests.get_int("total", -1), 6);
+  EXPECT_EQ(requests.get_int("ok", -1), 4);
+  EXPECT_EQ(requests.get_int("retry", -1), 0);
+  EXPECT_EQ(requests.get_int("error", -1), 2);
+  EXPECT_EQ(requests.get_int("protocol_errors", -1), 1);
   server.drain();
 }
 

@@ -13,24 +13,17 @@
 //   bfdn_route --port=7430 --peers=7431,7432
 //   bfdn_route --port=0 --port-file=route.port --peers=7431,7432
 //   bfdn_route --peers=7431,7432 --replicas=2 --hot-threshold=8
-#include <chrono>
-#include <csignal>
 #include <cstdio>
-#include <fstream>
-#include <thread>
 
 #include "cluster/peers.h"
 #include "cluster/router.h"
+#include "daemon.h"
 #include "support/check.h"
 #include "support/cli.h"
+#include "support/strings.h"
 
 namespace bfdn {
 namespace {
-
-// Signal handlers may only touch lock-free atomics; the main loop polls.
-volatile std::sig_atomic_t g_drain_requested = 0;
-
-extern "C" void handle_signal(int) { g_drain_requested = 1; }
 
 int run(int argc, const char* const* argv) {
   CliParser cli("bfdn_route",
@@ -72,34 +65,10 @@ int run(int argc, const char* const* argv) {
   options.fanout_threads =
       static_cast<std::int32_t>(cli.get_int("fanout-threads"));
 
-  // Handlers go in before the port is bound: a supervisor may signal
-  // the moment --port-file appears, and that must drain, not kill.
-  std::signal(SIGTERM, handle_signal);
-  std::signal(SIGINT, handle_signal);
-  RouterServer router(options);
-  router.start();
-
-  const std::string port_file = cli.get_string("port-file");
-  if (!port_file.empty()) {
-    std::ofstream out(port_file);
-    BFDN_REQUIRE(out.good(), "cannot open --port-file " + port_file);
-    out << router.port() << "\n";
-  }
-  std::fprintf(stdout,
-               "bfdn_route listening on 127.0.0.1:%u (fleet of %zu)\n",
-               router.port(), options.peers.size());
-  std::fflush(stdout);
-
-  while (g_drain_requested == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-
-  std::fprintf(stderr, "bfdn_route: drain requested, releasing "
-                       "connections\n");
-  router.drain();
-  std::fprintf(stdout, "%s\n", router.stats_json().c_str());
-  std::fflush(stdout);
-  return 0;
+  return serve_until_signalled<RouterServer>(
+      "bfdn_route", options, cli.get_string("port-file"),
+      str_format(" (fleet of %zu)", options.peers.size()),
+      "releasing connections");
 }
 
 }  // namespace

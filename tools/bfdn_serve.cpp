@@ -20,24 +20,16 @@
 //   bfdn_serve --port=0 --port-file=serve.port   # ephemeral port
 //   bfdn_serve --store-dir=/var/bfdn/store --store-segment-mb=64
 //   bfdn_serve --port=7431 --peer-id=0 --peers=7431,7432
-#include <chrono>
-#include <csignal>
 #include <cstdio>
-#include <fstream>
-#include <thread>
 
 #include "cluster/peers.h"
+#include "daemon.h"
 #include "service/server.h"
 #include "support/check.h"
 #include "support/cli.h"
 
 namespace bfdn {
 namespace {
-
-// Signal handlers may only touch lock-free atomics; the main loop polls.
-volatile std::sig_atomic_t g_drain_requested = 0;
-
-extern "C" void handle_signal(int) { g_drain_requested = 1; }
 
 int run(int argc, const char* const* argv) {
   CliParser cli("bfdn_serve", "serve exploration runs over loopback TCP");
@@ -97,35 +89,9 @@ int run(int argc, const char* const* argv) {
                  "(peer identity is the port)");
   }
 
-  // Handlers go in before the port is bound: a supervisor may signal
-  // the moment --port-file appears, and that must drain, not kill.
-  std::signal(SIGTERM, handle_signal);
-  std::signal(SIGINT, handle_signal);
-  ServiceServer server(options);
-  server.start();
-
-  const std::string port_file = cli.get_string("port-file");
-  if (!port_file.empty()) {
-    std::ofstream out(port_file);
-    BFDN_REQUIRE(out.good(), "cannot open --port-file " + port_file);
-    out << server.port() << "\n";
-  }
-  std::fprintf(stdout, "bfdn_serve listening on 127.0.0.1:%u\n",
-               server.port());
-  std::fflush(stdout);
-
-  while (g_drain_requested == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-
-  std::fprintf(stderr, "bfdn_serve: drain requested, finishing "
-                       "in-flight jobs\n");
-  server.drain();
-  // Final stats flush: one JSON document, same shape as the protocol's
-  // stats response payload.
-  std::fprintf(stdout, "%s\n", server.stats_json().c_str());
-  std::fflush(stdout);
-  return 0;
+  return serve_until_signalled<ServiceServer>(
+      "bfdn_serve", options, cli.get_string("port-file"), "",
+      "finishing in-flight jobs");
 }
 
 }  // namespace
